@@ -82,6 +82,11 @@ class CampaignFailedError(RuntimeError):
     """Raised by :meth:`CampaignResult.raise_first_error` on failures."""
 
 
+#: After a deadline expires, SIGALRM re-fires at this interval until the
+#: guarded block exits (see :func:`_deadline`).
+_DEADLINE_REFIRE_S = 0.05
+
+
 @contextmanager
 def _deadline(seconds: Optional[float]):
     """Raise :class:`TaskTimeout` if the body runs longer than ``seconds``.
@@ -90,22 +95,38 @@ def _deadline(seconds: Optional[float]):
     *inside the worker* instead of blocking the whole pool; silently a
     no-op off POSIX or outside the main thread (the pool runs tasks in
     worker main threads, so the guard holds where it matters).
+
+    Python discards an exception raised where nothing can catch it (a
+    ``gc.callbacks`` hook, ``__del__``, a weakref finalizer) and only
+    prints "Exception ignored".  So once the deadline has passed the
+    timer keeps re-firing until the block exits, and a body that still
+    completes after an expiry raises :class:`TaskTimeout` on exit.
     """
     if not seconds or seconds <= 0 or os.name != "posix" \
             or threading.current_thread() is not threading.main_thread():
         yield
         return
 
+    message = f"task exceeded the {seconds:g}s deadline"
+    active, expired = True, False
+
     def _expired(signum, frame):
-        raise TaskTimeout(f"task exceeded the {seconds:g}s deadline")
+        nonlocal expired
+        if not active:
+            return  # a tick handled after the block began disarming
+        expired = True
+        raise TaskTimeout(message)
 
     previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, _DEADLINE_REFIRE_S)
     try:
         yield
     finally:
+        active = False
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise TaskTimeout(message)
 
 
 def execute_spec_task(spec_dict: dict,

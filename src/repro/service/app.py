@@ -18,10 +18,11 @@ Routes::
                                   ``?format=json|ascii|md|tex|csv|html``
 
 ``/result?format=json`` serves **byte-identical** output to
-``repro-diag campaign run --out`` (same :func:`~repro.obs.export.
-render_json` over the same document); the table formats reuse the
-``results render`` pipeline, so the service can never disagree with
-the CLI about a number.
+``repro-diag campaign run --out`` (the job keeps, compressed, the
+bytes :func:`~repro.obs.export.render_json` made of the same document);
+the table formats parse those bytes and reuse the ``results render``
+pipeline, so the service can never disagree with the CLI about a
+number.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .. import __version__
 from ..obs.export import render_json
 from ..results.render import render_tables
 from ..results.source import parse_document, tables_for_document
-from .events import JobEventLog, sse_frame
+from .events import JobEventLog
 from .jobs import Job, JobManager, QueueFullError, ServiceClosedError
 from .serialization import BadRequestError, parse_job_request
 
@@ -198,20 +199,18 @@ class _ServiceApp:
                 f"unknown format {fmt!r}; formats: json, ascii, md, "
                 f"tex, csv, html")
             return
-        if job.document is None:
+        body = job.result_bytes()
+        if body is None:
             await _send_json(send, 409, {
                 "error": f"job {job.job_id} has no result yet "
                          f"(state: {job.state})",
                 "state": job.state})
             return
-        if fmt == "json":
-            # The exact `campaign run --out` bytes.
-            text = render_json(job.document)
-        else:
-            doc = parse_document(job.document)
+        if fmt != "json":  # json: the exact `campaign run --out` bytes
+            doc = parse_document(json.loads(body))
             tables = tables_for_document(doc)
-            text = render_tables(tables, fmt) + "\n"
-        await _send_text(send, 200, text, _CONTENT_TYPES[fmt])
+            body = (render_tables(tables, fmt) + "\n").encode("utf-8")
+        await _send_body(send, 200, body, _CONTENT_TYPES[fmt])
 
     # -- SSE -----------------------------------------------------------
     async def _events(self, scope, receive, send, job: Job,
@@ -279,9 +278,8 @@ async def _stream_events(receive, send, log: JobEventLog,
             event = step.result()
             if event is None:
                 break
-            seq, kind, data = event
-            await send({"type": "http.response.body",
-                        "body": sse_frame(seq, kind, data),
+            _seq, _kind, frame = event
+            await send({"type": "http.response.body", "body": frame,
                         "more_body": True})
         await send({"type": "http.response.body", "body": b"",
                     "more_body": False})
@@ -307,9 +305,8 @@ async def _read_body(receive) -> Optional[bytes]:
             return b"".join(chunks)
 
 
-async def _send_text(send, status: int, text: str,
+async def _send_body(send, status: int, body: bytes,
                      content_type: str) -> None:
-    body = text.encode("utf-8")
     await send({
         "type": "http.response.start",
         "status": status,
@@ -323,8 +320,7 @@ async def _send_text(send, status: int, text: str,
 
 
 async def _send_json(send, status: int, payload: Dict[str, Any]) -> None:
-    await _send_text(send, status,
-                     json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    await _send_body(send, status, render_json(payload).encode("utf-8"),
                      "application/json")
 
 

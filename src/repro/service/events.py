@@ -1,14 +1,20 @@
 """Per-job event logs with record-and-stream fan-out.
 
 Every job owns one :class:`JobEventLog`: an append-only sequence of
-small JSON-native event dicts, written from the worker thread that
-runs the campaign and read by any number of SSE subscribers on the
-asyncio side.  The design rule is **replay determinism**: a
-subscriber's stream is always *the log itself*, replayed from the
-requested sequence number and then tailed live — so a subscriber that
-connects after the job finished receives byte-for-byte the same
-frames an early subscriber saw arrive one at a time (the recorder
-pattern: record once, stream any number of times).
+events, written from the worker thread that runs the campaign and read
+by any number of SSE subscribers on the asyncio side.  Each event is
+encoded into its Server-Sent-Events frame once, when it is appended,
+and the log keeps only the frame bytes.  The design rule is **replay
+determinism**: a subscriber's stream is always *the log itself*,
+replayed from the requested sequence number and then tailed live — so
+a subscriber that connects after the job finished receives
+byte-for-byte the same frames an early subscriber saw arrive one at a
+time (the recorder pattern: record once, stream any number of times).
+
+A closed log never changes again, and the service keeps every finished
+job's log for its lifetime, so :meth:`JobEventLog.close` packs the
+frames into one zlib-compressed buffer plus their end offsets; replay
+unpacks it.
 
 Thread model: ``append``/``close`` are called from worker threads and
 only touch state under the log's lock; waiting subscribers are woken
@@ -21,8 +27,11 @@ function of the submitted spec, which is what the replay tests pin.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import threading
+import zlib
+from array import array
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 #: Hard cap on retained events per job; a log that overflows drops the
@@ -38,8 +47,14 @@ class JobEventLog:
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         self._max_events = max_events
         self._lock = threading.Lock()
-        #: (seq, kind, data) triples, oldest first.
-        self._events: List[Tuple[int, str, Dict]] = []
+        #: (seq, kind, SSE frame) triples, oldest first, until closed.
+        self._events: List[Tuple[int, str, bytes]] = []
+        #: Once closed: the first retained seq, the kinds, the frames'
+        #: end offsets and the compressed frames (see close()).
+        self._first = 0
+        self._kinds: List[str] = []
+        self._ends = array("L")
+        self._packed = b""
         self._next_seq = 0
         self._dropped = 0
         self._closed = False
@@ -48,13 +63,13 @@ class JobEventLog:
 
     # -- producer side (worker threads) --------------------------------
     def append(self, kind: str, data: Dict) -> int:
-        """Record one event; returns its sequence number."""
+        """Record one event (encoded now); returns its sequence number."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("event log is closed")
             seq = self._next_seq
             self._next_seq += 1
-            self._events.append((seq, kind, dict(data)))
+            self._events.append((seq, kind, sse_frame(seq, kind, data)))
             if len(self._events) > self._max_events:
                 overflow = len(self._events) - self._max_events
                 del self._events[:overflow]
@@ -69,8 +84,28 @@ class JobEventLog:
             if self._closed:
                 return
             self._closed = True
+            events, self._events = self._events, []
+            self._first = events[0][0] if events else self._next_seq
+            self._kinds = [kind for _seq, kind, _frame in events]
+            self._ends = array("L", itertools.accumulate(
+                len(frame) for _seq, _kind, frame in events))
+            self._packed = zlib.compress(
+                b"".join(frame for _seq, _kind, frame in events))
             waiters, self._waiters = self._waiters, []
         self._wake(waiters)
+
+    def _after(self, after: int) -> List[Tuple[int, str, bytes]]:
+        """Events with ``seq > after`` (caller holds the lock)."""
+        if not self._closed:
+            return [e for e in self._events if e[0] > after]
+        start = max(0, after + 1 - self._first)
+        if start >= len(self._kinds):
+            return []
+        frames = zlib.decompress(self._packed)
+        ends = self._ends
+        return [(self._first + i, self._kinds[i],
+                 frames[ends[i - 1] if i else 0:ends[i]])
+                for i in range(start, len(self._kinds))]
 
     @staticmethod
     def _wake(waiters) -> None:
@@ -90,15 +125,17 @@ class JobEventLog:
         with self._lock:
             return self._next_seq
 
-    def events(self, after: int = -1) -> List[Tuple[int, str, Dict]]:
-        """A snapshot of recorded events with ``seq > after``."""
+    def events(self, after: int = -1) -> List[Tuple[int, str, bytes]]:
+        """A snapshot of recorded ``(seq, kind, frame)`` events with
+        ``seq > after``."""
         with self._lock:
-            return [e for e in self._events if e[0] > after]
+            return self._after(after)
 
     # -- consumer side (asyncio) ---------------------------------------
     async def subscribe(self, after: int = -1
-                        ) -> AsyncIterator[Tuple[int, str, Dict]]:
-        """Replay events with ``seq > after``, then tail until closed.
+                        ) -> AsyncIterator[Tuple[int, str, bytes]]:
+        """Replay ``(seq, kind, frame)`` events with ``seq > after``,
+        then tail until closed.
 
         Late subscribers replay the full log; reconnecting subscribers
         pass the last sequence number they saw (SSE ``Last-Event-ID``).
@@ -107,7 +144,7 @@ class JobEventLog:
         cursor = after
         while True:
             with self._lock:
-                pending = [e for e in self._events if e[0] > cursor]
+                pending = self._after(cursor)
                 closed = self._closed
                 if not pending and not closed:
                     wakeup = asyncio.Event()

@@ -36,12 +36,14 @@ their own locking.
 from __future__ import annotations
 
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..campaign.definitions import result_document
 from ..campaign.engine import run_campaign
+from ..obs.export import render_json
 from ..obs.registry import MetricsRegistry, merge_snapshots
 from ..store import ResultStore
 from .events import EventHub, JobEventLog
@@ -88,9 +90,12 @@ class Job:
     hits: int = 0
     misses: int = 0
     retried: int = 0
-    #: The deterministic ``campaign run --out`` document (set once the
-    #: job reaches ``done``/``failed``; byte-identical to the CLI's).
-    document: Optional[Dict[str, Any]] = None
+    #: The deterministic ``campaign run --out`` document: the exact
+    #: bytes the CLI writes, zlib-compressed (set once the job reaches
+    #: ``done``/``failed``).  A finished job stays in the table for the
+    #: life of the service, so it keeps this compact form, not the
+    #: dict; :meth:`result_bytes` returns the bytes.
+    result_zlib: Optional[bytes] = None
     #: Structured TaskError payloads (``failed`` jobs).
     errors: List[Dict[str, Any]] = field(default_factory=list)
     #: The engine registry snapshot for this job's run.
@@ -99,6 +104,12 @@ class Job:
     @property
     def total(self) -> int:
         return len(self.labels)
+
+    def result_bytes(self) -> Optional[bytes]:
+        """The ``campaign run --out`` bytes, or None before a result."""
+        if self.result_zlib is None:
+            return None
+        return zlib.decompress(self.result_zlib)
 
     def summary(self) -> Dict[str, Any]:
         """The JSON shape ``GET /v1/jobs`` lists."""
@@ -325,7 +336,8 @@ class JobManager:
                 metrics=registry,
                 progress=progress,
             )
-            document = result_document(request.definition, result)
+            packed = zlib.compress(render_json(
+                result_document(request.definition, result)).encode("utf-8"))
         except Exception as exc:  # engine-level crash, not a TaskError
             with self._lock:
                 job.state = "failed"
@@ -346,7 +358,7 @@ class JobManager:
             job.hits = result.hits
             job.misses = result.misses
             job.retried = result.retried
-            job.document = document
+            job.result_zlib = packed
             job.errors = errors
             job.engine_snapshot = registry.snapshot()
             job.state = "failed" if errors else "done"

@@ -151,6 +151,11 @@ class ScenarioSpec:
     ``params`` is exactly what the scenario's ``spec_params`` returns;
     :meth:`build` rebuilds the live scenario, resolving any
     ``rng_stream`` name against a cluster's random streams.
+
+    ``params`` is a plain dict, but it is never mutated after
+    construction (``build`` and every reader copy or only read it).
+    :meth:`RunSpec.full_digest` relies on this: it hashes a spec once
+    and keeps the digest on the frozen instance.
     """
 
     type: str
@@ -339,12 +344,21 @@ class RunSpec:
         hashed: both backends compute the same observables, so a stored
         event-engine result is a valid answer for a vectorized request
         and vice versa.
+
+        The digest is computed once per instance and memoised on it: the
+        spec is frozen and its scenario params are never mutated (see
+        :class:`ScenarioSpec`).  ``dataclasses.replace`` builds a new
+        instance, so a changed spec is hashed afresh.
         """
-        data = self.to_dict()
-        data.pop("backend", None)
-        canonical = json.dumps(data, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_full_digest")
+        if digest is None:
+            data = self.to_dict()
+            data.pop("backend", None)
+            canonical = json.dumps(data, sort_keys=True,
+                                   separators=(",", ":"))
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_full_digest", digest)
+        return digest
 
     def digest(self) -> str:
         """Stable 12-hex-digit content hash (prefix of :meth:`full_digest`)."""

@@ -52,27 +52,32 @@ _EPS_BOUNDS = (0, 1, 2, 4, 8, 16, 32)
 #: imports this module lazily, keeping the layering acyclic).
 _PROVENANCE_PREFIX = "spec.run."
 
-#: Semantic counters the kernel accumulates per replicate.  These are
+#: Semantic counters the kernel produces per replicate.  These are
 #: exactly the protocol-level counters an event-engine run with metrics
 #: enabled produces; the event engine's additional *strategy* counters
 #: (fast-path/cache/popcount tallies) describe how it computes, not
-#: what, and have no vectorized equivalent.
-_ACC_COUNTERS = (
+#: what, and have no vectorized equivalent.  Counters in _COUNTED are
+#: the number of set entries in per-round masks; hv_transitions,
+#: hmaj_majority and penalty_increments are reduced from the health
+#: vectors and vote margins; analysis_rounds, hmaj_calls and
+#: hmaj_default_healthy follow from the others (see snapshot()).
+_COUNTED = (
     "bus.slots_silent",
-    "diag.analysis_rounds",
     "diag.uniform_shortcut_rounds",
-    "diag.hv_transitions",
     "diag.isolations",
     "diag.reintegrations",
-    "vote.hmaj_calls",
-    "vote.hmaj_majority",
     "vote.hmaj_bottom",
-    "vote.hmaj_default_healthy",
-    "pr.penalty_increments",
     "pr.reward_increments",
     "pr.forget_resets",
     "pr.isolation_verdicts",
 )
+_METERED = _COUNTED + ("diag.hv_transitions", "vote.hmaj_majority",
+                       "pr.penalty_increments")
+
+#: Pending metering arrays are reduced once they hold this many bytes,
+#: and at the end of the run: a short run pays one batch of reductions,
+#: and a large replicate batch keeps a bounded working set.
+_METER_FLUSH_BYTES = 1 << 18
 
 
 def validate_spec(spec: RunSpec) -> None:
@@ -94,8 +99,47 @@ def validate_spec(spec: RunSpec) -> None:
             "vectorized backend requires a static schedule")
 
 
+class _Stage:
+    """One job phase of the physical round: its observers, in node order.
+
+    A stage that covers every node indexes the state arrays with a basic
+    slice, so its reads are views and its writes rebind whole arrays; a
+    partial stage gathers and scatters by index.
+    """
+
+    def __init__(self, idx: np.ndarray, send_curr: np.ndarray,
+                 all_send_curr: bool, n: int) -> None:
+        self.idx = idx
+        self.size = idx.size
+        self.full = idx.size == n
+        self.sel = slice(None) if self.full else idx
+        #: Row ``i`` of a (replicate, observer, subject) array paired
+        #: with the observer's own column: ``a[:, diag_i, idx]``.
+        self.diag_i = np.arange(idx.size)
+        sc = send_curr[idx]
+        #: Send alignment (Alg. 1 lines 7-10): None when every observer
+        #: disseminates this round's receptions, else who sends last
+        #: round's.
+        self.align = (None if all_send_curr or not sc.any()
+                      else sc[None, :, None])
+        #: Consistent health vectors not yet metered, and the last one
+        #: metered (the baseline of the next transition count).
+        self.pending: List[np.ndarray] = []
+        self.last: Optional[np.ndarray] = None
+
+
 class _Kernel:
-    """State and per-round transition of one replicate batch."""
+    """State and per-round transition of one replicate batch.
+
+    The round step is written against numpy's per-call overhead, which
+    dominates at Monte Carlo batch sizes: a full stage works on views,
+    one matmul produces every H-maj vote margin, a round in which no
+    counter can move skips the p/r update, and per-round counter masks
+    are reduced in batches (see :meth:`_flush`) rather than per round.
+    Arrays handed from one round to the next are never written in place
+    once published: partial-stage writes copy first, so a reference
+    taken earlier in the round keeps its value.
+    """
 
     def __init__(self, spec: RunSpec, compiled: CompiledSchedule,
                  lowered: LoweredInjection, n_rep: int,
@@ -107,14 +151,15 @@ class _Kernel:
         self.R = n_rep
         self.n_rounds = spec.n_rounds
         self.trace_level = spec.cluster.trace_level
-        self.compiled = compiled
         self.low = lowered
         self.pipe = cfg.detection_pipeline_rounds()
         self.startup = cfg.startup_rounds
-        self.cfg_all_sc = cfg.all_send_curr_round
         self.P = cfg.penalty_threshold
         self.RT = cfg.reward_threshold
-        self.crit = np.asarray(cfg.criticalities, dtype=np.int64)
+        crit = np.asarray(cfg.criticalities, dtype=np.int64)
+        #: Penalty per faulty verdict, or None when every criticality
+        #: is 1 (the verdict mask is then the increment).
+        self.crit = None if (crit == 1).all() else crit
         self.ignore_mode = cfg.isolation_mode is IsolationMode.IGNORE
         self.halt = cfg.effective_halt_on_self_isolation
         if reintegration and cfg.reintegration_reward_threshold is None:
@@ -124,13 +169,23 @@ class _Kernel:
         self.reint_th = (cfg.reintegration_reward_threshold
                          if reintegration else None)
         self.T = compiled.timebase.round_length
-        self.send_curr = compiled.send_curr
-        self.scp = compiled.send_curr_phys
         self.offset = compiled.offset
+        scp = compiled.send_curr_phys
+        self.scp = scp
+        self.scp3 = scp[None, :, None]
+        self.scp_all = bool(scp.all())
+        self.scp_any = bool(scp.any())
+        # A node has latched a syndrome once its first job ran: in round
+        # 0 only the jobs preceding their own slot have; from round 1 on
+        # every node has (None: all latched).
+        self.ss0 = None if self.scp_all else scp.copy()
         # after_job[i, s-1]: slot s of the round is delivered after node
         # i's job (so a status change taken in the job masks it).
         self.after_job = (np.arange(1, n + 1)[None, :]
                           > compiled.pos[:, None])
+        self.stages = tuple(
+            _Stage(idx, compiled.send_curr, cfg.all_send_curr_round, n)
+            for idx in (compiled.stage1, compiled.stage3))
 
         R = n_rep
         # Per-observer protocol state: [replicate, observer, subject].
@@ -138,11 +193,9 @@ class _Kernel:
         self.PEN = np.zeros((R, n, n), dtype=np.int64)
         self.REW = np.zeros((R, n, n), dtype=np.int64)
         self.PREV_AL = np.zeros((R, n, n), dtype=bool)
-        self.PREV_HV = np.zeros((R, n, n), dtype=bool)
-        self.HAS_PREV = np.zeros((R, n), dtype=bool)
-        # Interface-state OUT buffers: [replicate, sender, bit].
+        # Interface-state OUT buffer: [replicate, sender, bit].
         self.OUT_bits = np.zeros((R, n, n), dtype=bool)
-        self.OUT_set = np.zeros((R, n), dtype=bool)
+        self._out_start = self.OUT_bits
         # IGNORE-mode reception masks (committed / pending within-round).
         self.IGN = np.zeros((R, n, n), dtype=bool)
         self.ign_pend = np.zeros((R, n, n), dtype=bool)
@@ -152,6 +205,14 @@ class _Kernel:
         self.tx_on_pend = np.zeros((R, n), dtype=bool)
         self.RCNT = (np.zeros((R, n, n), dtype=np.int64)
                      if self.reint_th is not None else None)
+        # Python-side summaries of that state, so a steady round tests
+        # flags instead of scanning arrays.
+        self._pen_any = False     # some penalty counter is non-zero
+        self._all_active = True   # nothing isolated (kept up to date
+        #                           only when reintegration can fire)
+        self._tx_all = True       # every node still transmits
+        self._tx_off = self._tx_on = False  # toggles pending in TX_EN
+        self._ign = self._ign_pend = False  # IGN / ign_pend hold a bit
         self.first_iso = np.full((R, n), np.inf)
         #: (replicate, observer, isolated, round, time, penalty) tuples.
         self.iso_records: List[Tuple[int, int, int, int, float, int]] = []
@@ -163,26 +224,59 @@ class _Kernel:
         # Previous round's reception state (round -1: nothing received).
         self.V_prev = np.zeros((R, n, n), dtype=bool)
         self.S_bits_prev = np.zeros((R, n, n), dtype=bool)
-        self.S_synd_prev = np.zeros((R, n), dtype=bool)
-        self.MAL_prev = np.zeros((R, n, n), dtype=bool)
+        self.S_synd_prev: Optional[np.ndarray] = np.zeros(n, dtype=bool)
+        self.MAL_prev: Optional[np.ndarray] = None
         self.fid_prev: Optional[np.ndarray] = None
-        self._zero_mal = np.zeros((R, n, n), dtype=bool)
-        # Per-replicate metric accumulators.
-        self.acc = {name: np.zeros(R, dtype=np.int64)
-                    for name in _ACC_COUNTERS}
+
+        # Scenario masks in the kernel's [receiver, sender] layout.
+        low = lowered
+        self._valid = (None if low.invalid is None
+                       else ~low.invalid.transpose(0, 2, 1))
+        self._mal = (None if low.mal is None
+                     else low.mal.transpose(0, 2, 1))
+        self._mal_rounds = ([] if low.mal is None
+                            else low.mal.any(axis=(1, 2)).tolist())
+        self._nohit = None if low.stoch_hit is None else ~low.stoch_hit
+        self._all_valid = np.ones((R, n, n), dtype=bool)
+        self._all_valid.flags.writeable = False
+        self._all_nodes = np.ones(n, dtype=bool)
+        self._all_nodes.flags.writeable = False
+        # Vote matrices [W | off-diagonal | 1] over (sender, column):
+        # W is +1 where the sender's syndrome calls the column's node
+        # healthy, -1 where faulty, 0 on the diagonal (the accused's own
+        # row never votes).  A (replicate, observer, sender) presence
+        # mask times this matrix gives, per column, the vote margin,
+        # the voter count, and the row's non-epsilon count.  float32
+        # runs on BLAS, and sums of at most N small integers are exact.
+        offd = (~np.eye(n, dtype=bool)).astype(np.float32)
+        self._offd = offd
+        self._two_offd = 2 * offd
+        self._votes = np.empty((R, n, 2 * n + 1), dtype=np.float32)
+        self._votes[..., n:2 * n] = offd
+        self._votes[..., 2 * n] = 1
+        self._forged_votes = self._votes[0].copy()
+
+        # Metering: per-replicate counters, and the per-round arrays
+        # awaiting their batched reduction.
+        self.acc = {name: np.zeros(R, dtype=np.int64) for name in _METERED}
+        self._pending: Dict[str, List[np.ndarray]] = {
+            name: [] for name in _COUNTED + ("votes", "eps")}
+        self._pending_bytes = 0
+        #: diag.analysis_rounds — the same for every replicate.
+        self._analysed = 0
         self.eps_bounds = np.asarray(_EPS_BOUNDS, dtype=np.int64)
-        self.eps_hist = np.zeros((R, len(_EPS_BOUNDS) + 1), dtype=np.int64)
-        self.eps_count = np.zeros(R, dtype=np.int64)
+        n_buckets = len(_EPS_BOUNDS) + 1
+        self.eps_hist = np.zeros((R, n_buckets), dtype=np.int64)
+        self._eps_rows = n_buckets * np.arange(R)[:, None]
         self._noise_cursor = [np.zeros(R, dtype=np.int64)
                               for _ in lowered.noise]
         self._rep_idx = np.arange(R)
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        stage1, stage3 = self.compiled.stage1, self.compiled.stage3
+        stage1, stage3 = self.stages
         for p in range(self.n_rounds):
-            self._out_old_bits = self.OUT_bits.copy()
-            self._out_old_set = self.OUT_set.copy()
+            self._out_start = self.OUT_bits
             self._jobs(stage1, p, p, self.V_prev, self.S_bits_prev,
                        self.S_synd_prev, self.MAL_prev, self.fid_prev,
                        stage3=False)
@@ -191,6 +285,9 @@ class _Kernel:
             self.V_prev, self.S_bits_prev, self.S_synd_prev = V, Sb, Ss
             self.MAL_prev, self.fid_prev = MAL, fid
             self._prune(p)
+            if self._pending_bytes > _METER_FLUSH_BYTES:
+                self._flush()
+        self._flush()
 
     def _prune(self, p: int) -> None:
         horizon = p - (self.pipe + 4)
@@ -203,275 +300,363 @@ class _Kernel:
     # ------------------------------------------------------------------
     def _slots(self, p: int):
         R, n = self.R, self.n
-        scp = self.scp
-        eff_tx = self.TX_EN.copy()
-        if self.tx_off_pend.any():
-            eff_tx &= ~(self.tx_off_pend & scp[None, :])
-        if self.tx_on_pend.any():
-            eff_tx |= self.tx_on_pend & scp[None, :]
-        self.acc["bus.slots_silent"] += (~eff_tx).sum(1)
-
         low = self.low
-        hit: Optional[np.ndarray] = None
-        if low.stoch_hit is not None:
-            hit = low.stoch_hit[:, p, :].copy()
-        for i, plan in enumerate(low.noise):
-            if hit is None:
-                hit = np.zeros((R, n), dtype=bool)
-            cur = self._noise_cursor[i]
-            # One draw per *queried* (non-silent) slot, in slot order —
-            # the event engine's exact consumption pattern.
-            for s0 in range(n):
-                q = eff_tx[:, s0]
-                if not q.any():
-                    continue
-                v = plan.draws[self._rep_idx, cur]
-                hit[:, s0] |= q & (v < plan.probability)
-                cur += q
+        # Sender side, [replicate, sender]: who transmits, and whose
+        # frame no benign hit spoiled (None: every frame goes through).
+        eff_tx: Optional[np.ndarray] = None
+        if not self._tx_all or self._tx_off or self._tx_on:
+            eff_tx = self.TX_EN.copy()
+            if self._tx_off:
+                eff_tx &= ~(self.tx_off_pend & self.scp)
+            if self._tx_on:
+                eff_tx |= self.tx_on_pend & self.scp
+            self._meter("bus.slots_silent", ~eff_tx)
+        ok = eff_tx
+        if self._nohit is not None:
+            ok = (self._nohit[:, p] if ok is None
+                  else ok & self._nohit[:, p])
+        if low.noise:
+            tx = self.TX_EN if eff_tx is None else eff_tx
+            hit = np.zeros((R, n), dtype=bool)
+            for i, plan in enumerate(low.noise):
+                cur = self._noise_cursor[i]
+                # One draw per *queried* (non-silent) slot, in slot
+                # order — the event engine's exact consumption pattern.
+                for s0 in range(n):
+                    q = tx[:, s0]
+                    if not q.any():
+                        continue
+                    v = plan.draws[self._rep_idx, cur]
+                    hit[:, s0] |= q & (v < plan.probability)
+                    cur += q
+            ok = ~hit if ok is None else ok & ~hit
 
-        V_pre = np.broadcast_to(eff_tx[:, None, :], (R, n, n)).copy()
-        if low.invalid is not None:
-            V_pre &= ~low.invalid[p].T[None, :, :]
-        if hit is not None:
-            V_pre &= ~hit[:, None, :]
+        # Receptions [replicate, receiver, sender].
+        if ok is None:
+            V_pre = (self._all_valid if self._valid is None
+                     else self._all_valid & self._valid[p])
+        else:
+            V_pre = ok[:, None, :] & (self._all_valid if self._valid is None
+                                      else self._valid[p])
         if low.stoch_invalid is not None:
             # Per-replicate receiver-side invalidations (correlated
             # EMI), already in [replicate, receiver, sender] layout.
-            V_pre &= ~low.stoch_invalid[:, p]
-        # Local collision detector: the sender's own reception validity,
-        # recorded before any IGNORE status masking (as the controller
-        # does).  A silent own slot yields no record, i.e. False.
-        diag_idx = np.arange(n)
-        self.COLL[p] = V_pre[:, diag_idx, diag_idx]
+            V_pre = V_pre & ~low.stoch_invalid[:, p]
+        # Local collision detector: the diagonal of the validity before
+        # any IGNORE status masking (as the controller records it).  A
+        # silent own slot yields no record, i.e. False.
+        self.COLL[p] = V_pre
 
-        if self.ignore_mode and (self.IGN.any() or self.ign_pend.any()):
-            mask = self.IGN
-            if self.ign_pend.any():
-                mask = mask | (self.ign_pend & self.after_job[None, :, :])
-            V = V_pre & ~mask
-        else:
-            V = V_pre
+        V = V_pre
         if self.ignore_mode:
-            self.IGN |= self.ign_pend
-            self.ign_pend[:] = False
+            if self._ign_pend:
+                V = V_pre & ~(self.IGN | (self.ign_pend & self.after_job))
+                self.IGN |= self.ign_pend
+                self.ign_pend[:] = False
+                self._ign, self._ign_pend = True, False
+            elif self._ign:
+                V = V_pre & ~self.IGN
 
         MAL: Optional[np.ndarray] = None
         fid: Optional[np.ndarray] = None
-        if low.mal is not None and low.mal[p].any():
-            m = np.broadcast_to(low.mal[p].T[None, :, :], (R, n, n)).copy()
-            if hit is not None:
-                m &= ~hit[:, None, :]
-            MAL = m & V
+        if self._mal is not None and self._mal_rounds[p]:
+            # V already excludes every slot a benign hit spoiled.
+            MAL = self._mal[p] & V
             fid = low.fid[p]
-        if MAL is None:
-            MAL = self._zero_mal
 
         # Latched payloads: a job physically preceding its own slot
         # transmits this round's fresh interface write; everyone else's
         # slot carries the buffer as of the round start.
-        Sb = np.where(scp[None, :, None], self.OUT_bits, self._out_old_bits)
-        Ss = np.where(scp[None, :], self.OUT_set, self._out_old_set)
+        if self.scp_all:
+            Sb = self.OUT_bits
+        elif not self.scp_any:
+            Sb = self._out_start
+        else:
+            Sb = np.where(self.scp3, self.OUT_bits, self._out_start)
+        Ss = self.ss0 if p == 0 else None
 
-        if self.tx_off_pend.any():
+        if self._tx_off:
             self.TX_EN &= ~self.tx_off_pend
             self.tx_off_pend[:] = False
-        if self.tx_on_pend.any():
+            self._tx_off = self._tx_all = False
+        if self._tx_on:
             self.TX_EN |= self.tx_on_pend
             self.tx_on_pend[:] = False
+            self._tx_on = False
         return V, Sb, Ss, MAL, fid
 
     # ------------------------------------------------------------------
     # Stages 1/3: one batch of diagnostic jobs at effective round k
     # ------------------------------------------------------------------
-    def _jobs(self, obs: np.ndarray, k: int, p: int, V_in, Sb_in, Ss_in,
+    def _jobs(self, st: _Stage, k: int, p: int, V_in, Sb_in, Ss_in,
               MAL_in, fid_in, stage3: bool) -> None:
-        if obs.size == 0:
+        if not st.size:
             return
-        R, n = self.R, self.n
-        al = V_in[:, obs, :]
+        al = V_in[:, st.sel, :]
         # Dissemination (send alignment, Alg. 1 lines 7-10).
-        if self.cfg_all_sc:
-            out = al
+        out = (al if st.align is None
+               else np.where(st.align, self.PREV_AL[:, st.sel, :], al))
+        if st.full:
+            self.OUT_bits = out
         else:
-            sc = self.send_curr[obs]
-            out = (np.where(sc[None, :, None], self.PREV_AL[:, obs, :], al)
-                   if sc.any() else al)
-        self.OUT_bits[:, obs, :] = out
-        self.OUT_set[:, obs] = True
+            bits = self.OUT_bits.copy()
+            bits[:, st.idx, :] = out
+            self.OUT_bits = bits
 
         d = k - self.pipe
         if d >= self.startup:
-            self._analyse(obs, k, p, d, al, Sb_in, Ss_in, MAL_in, fid_in,
+            self._analyse(st, k, p, d, al, Sb_in, Ss_in, MAL_in, fid_in,
                           stage3)
 
         # Buffering for the next round (Alg. 1 lines 16-17).
-        self.PREV_AL[:, obs, :] = al
-        own = self.OWN.get(k - 1)
-        if own is None:
-            own = self.OWN[k - 1] = np.zeros((R, n, n), dtype=bool)
-        own[:, obs, :] = al
+        if st.full:
+            self.PREV_AL = al
+            self.OWN[k - 1] = al
+        else:
+            self.PREV_AL[:, st.idx, :] = al
+            own = self.OWN.get(k - 1)
+            if own is None:
+                own = self.OWN[k - 1] = np.zeros((self.R, self.n, self.n),
+                                                 dtype=bool)
+            own[:, st.idx, :] = al
 
-    def _analyse(self, obs: np.ndarray, k: int, p: int, d: int, al,
+    def _vote_matrix(self, bits: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """``buf`` with its W block set from the syndrome ``bits``."""
+        w = buf[..., :self.n]
+        np.multiply(bits, self._two_offd, out=w)
+        w -= self._offd
+        return buf
+
+    def _analyse(self, st: _Stage, k: int, p: int, d: int, al,
                  Sb, Ss, MAL_in, fid_in, stage3: bool) -> None:
-        R, n = self.R, self.n
-        I = obs.size
-        act = self.ACTIVE[:, obs, :]
-        mal = MAL_in[:, obs, :]
-        mal_any = bool(mal.any())
-        # A row is non-ε iff the reception was valid, the sender is not
-        # isolated, and the latched payload is a well-formed syndrome.
-        if mal_any:
-            pv = np.where(mal, self.low.payload_valid[fid_in][None, None, :],
-                          Ss[:, None, :])
+        n, sel = self.n, st.sel
+        act = self.ACTIVE[:, sel, :]
+        # A row entry is non-ε iff the reception was valid, the sender
+        # is not isolated, and the latched payload is a well-formed
+        # syndrome.
+        present = al & act
+        if Ss is not None:
+            present &= Ss
+        mal = None
+        if MAL_in is not None:
+            mal = MAL_in[:, sel, :]
+            if not mal.any():
+                mal = None
+        votes = self._vote_matrix(Sb, self._votes)
+        if mal is None:
+            res = np.matmul(present.astype(np.float32), votes)
         else:
-            pv = Ss[:, None, :]
-        present = al & act & pv
-        pc = present.sum(-1)
+            # A forged frame carries its own payload in place of the
+            # sender's interface state; it counts only if that payload
+            # is a well-formed syndrome.
+            forged = act & mal & self.low.payload_valid[fid_in]
+            res = np.matmul((present & ~mal).astype(np.float32), votes)
+            res += np.matmul(forged.astype(np.float32), self._vote_matrix(
+                self.low.payload_bits[fid_in], self._forged_votes))
+        margin, voters, pc = res[..., :n], res[..., n:2 * n], res[..., 2 * n]
 
-        # Uniform fast path, content form: every reception valid, every
-        # sender active, every payload a set syndrome, none forged, all
-        # senders' payloads identical.  Syndrome interning makes this
-        # equivalent to the event engine's pointer-identity check.
-        rows_eq = (Sb == Sb[:, :1, :]).all(axis=(1, 2))
-        uni = al.all(-1) & act.all(-1) & (Ss.all(-1) & rows_eq)[:, None]
-        if mal_any:
-            uni &= ~mal.any(-1)
+        # H-maj column vote: healthy unless strictly more voters say
+        # faulty; no voter at all is the Lemma 3 fallback.
+        bottom = voters == 0
+        cons = margin >= 0
+        if bottom.any():
+            cons = np.where(bottom, self._fallback(st, d), cons)
 
-        self.acc["diag.analysis_rounds"] += I
-        n_uni = uni.sum(1)
-        self.acc["diag.uniform_shortcut_rounds"] += n_uni
-        self.acc["vote.hmaj_calls"] += (I - n_uni) * n
-        self.eps_hist[:, 0] += n_uni
-        self.eps_count += I
+        # Uniform fast path, content form: every entry present, none
+        # forged, all senders' payloads identical.  Syndrome interning
+        # makes this equivalent to the event engine's pointer-identity
+        # check; the vote above already yields the shared syndrome on
+        # such rows, so the shortcut only shows in the counters.
+        uni = pc == n
+        uni &= (Sb == Sb[:, :1, :]).all(axis=(1, 2))[:, None]
+        if mal is not None:
+            uni &= ~mal.any(axis=-1)
 
-        nonuni = ~uni
-        uni_row = Sb[:, 0, :]
-        if nonuni.any():
-            ridx, iidx = np.nonzero(nonuni)
-            eps_vals = (n - pc)[ridx, iidx]
-            np.add.at(self.eps_hist,
-                      (ridx, np.searchsorted(self.eps_bounds, eps_vals,
-                                             side="left")), 1)
-            pres = present.astype(np.int64)
-            if mal_any:
-                fb_bits = self.low.payload_bits[fid_in].astype(bool)
-                B = np.where(mal[..., None], fb_bits[None, None, :, :],
-                             Sb[:, None, :, :]).astype(np.int64)
-                ones = np.matmul(pres[:, :, None, :], B)[:, :, 0, :]
-                diagB = np.diagonal(B, axis1=2, axis2=3)
-            else:
-                ones = np.matmul(pres, Sb.astype(np.int64))
-                diagB = np.diagonal(Sb, axis1=1,
-                                    axis2=2).astype(np.int64)[:, None, :]
-            # H-maj column vote: the accused's own row never votes.
-            col_ones = ones - pres * diagB
-            total = pc[..., None] - pres
-            col_zeros = total - col_ones
-            maj1 = col_ones > col_zeros
-            maj0 = col_zeros > col_ones
-            bottom = total == 0
-            nu3 = nonuni[..., None]
-            self.acc["vote.hmaj_majority"] += ((maj1 | maj0) & nu3).sum((1, 2))
-            self.acc["vote.hmaj_bottom"] += (bottom & nu3).sum((1, 2))
-            self.acc["vote.hmaj_default_healthy"] += (
-                (~(maj1 | maj0 | bottom)) & nu3).sum((1, 2))
-            if bottom.any():
-                # Lemma 3 fallback: own buffered syndrome of the
-                # diagnosed round (optimistic 1 on cold start), the
-                # local collision detector for oneself.
-                own_d = self.OWN.get(d)
-                fb = (own_d[:, obs, :].copy() if own_d is not None
-                      else np.ones((R, I, n), dtype=bool))
-                coll_d = self.COLL.get(d)
-                co = (coll_d[:, obs] if coll_d is not None
-                      else np.zeros((R, I), dtype=bool))
-                fb[:, np.arange(I), obs] = co
-                hv = np.where(bottom, fb, ~maj0)
-            else:
-                hv = ~maj0
-            cons = np.where(uni[..., None], uni_row[:, None, :], hv)
-        else:
-            cons = np.broadcast_to(uni_row[:, None, :], (R, I, n)).copy()
+        self._analysed += st.size
+        self._meter("diag.uniform_shortcut_rounds", uni)
+        self._meter("votes", margin)
+        self._meter("eps", pc)
+        self._meter("vote.hmaj_bottom", bottom)
+        st.pending.append(cons)
+        self._pending_bytes += cons.nbytes
 
-        # Health-vector transition metering + trace-equivalent storage.
-        prev = self.PREV_HV[:, obs, :]
-        has = self.HAS_PREV[:, obs]
-        self.acc["diag.hv_transitions"] += (has
-                                            & (prev != cons).any(-1)).sum(1)
-        self.PREV_HV[:, obs, :] = cons
-        self.HAS_PREV[:, obs] = True
+        # Trace-equivalent health-vector storage.
         if self.trace_level >= 1:
-            arr = self.HVD.get(d)
-            if arr is None:
-                arr = self.HVD[d] = np.zeros((R, n, n), dtype=bool)
-                self.HVD_nodes[d] = np.zeros(n, dtype=bool)
-            arr[:, obs, :] = cons
-            self.HVD_nodes[d][obs] = True
+            if st.full:
+                self.HVD[d] = cons
+                self.HVD_nodes[d] = self._all_nodes
+            else:
+                arr = self.HVD.get(d)
+                if arr is None:
+                    arr = self.HVD[d] = np.zeros((self.R, n, n), dtype=bool)
+                    self.HVD_nodes[d] = np.zeros(n, dtype=bool)
+                arr[:, sel, :] = cons
+                self.HVD_nodes[d][sel] = True
 
-        # Penalty/reward update, exact branch order of
-        # PenaltyRewardState.update.
+        if not self._pen_any and self._all_active and cons.all():
+            return  # steady round: the p/r update would change nothing
+        self._penalty_reward(st, k, p, cons, act, stage3)
+
+    def _fallback(self, st: _Stage, d: int) -> np.ndarray:
+        """Lemma 3 fallback rows for diagnosed round ``d``: the own
+        buffered syndrome (optimistic 1 on cold start), and the local
+        collision detector for oneself."""
+        own_d = self.OWN.get(d)
+        fb = (own_d[:, st.sel, :].copy() if own_d is not None
+              else np.ones((self.R, st.size, self.n), dtype=bool))
+        coll_d = self.COLL.get(d)
+        fb[:, st.diag_i, st.idx] = (coll_d[:, st.idx, st.idx]
+                                    if coll_d is not None else False)
+        return fb
+
+    def _penalty_reward(self, st: _Stage, k: int, p: int, cons, act,
+                        stage3: bool) -> None:
+        """Penalty/reward update, exact branch order of
+        PenaltyRewardState.update."""
+        sel, idx = st.sel, st.idx
         faulty = ~cons
-        pen = self.PEN[:, obs, :] + faulty * self.crit[None, None, :]
-        self.acc["pr.penalty_increments"] += faulty.sum((1, 2))
-        rew = np.where(faulty, 0, self.REW[:, obs, :])
+        pen = self.PEN[:, sel, :] + (faulty if self.crit is None
+                                     else faulty * self.crit)
+        rew = self.REW[:, sel, :] * cons
         iso_v = faulty & (pen > self.P)
-        self.acc["pr.isolation_verdicts"] += iso_v.sum((1, 2))
-        hg = (~faulty) & (pen > 0)
-        rew = rew + hg
-        self.acc["pr.reward_increments"] += hg.sum((1, 2))
+        hg = cons & (pen > 0)
+        rew += hg
         forget = hg & (rew >= self.RT)
+        self._meter("pr.isolation_verdicts", iso_v)
+        self._meter("pr.reward_increments", hg)
         if forget.any():
-            pen = np.where(forget, 0, pen)
-            rew = np.where(forget, 0, rew)
-        self.acc["pr.forget_resets"] += forget.sum((1, 2))
+            pen[forget] = 0
+            rew[forget] = 0
+            self._meter("pr.forget_resets", forget)
 
         newly = act & iso_v
-        act_new = act & ~iso_v
-        self.acc["diag.isolations"] += newly.sum((1, 2))
-        idxI = np.arange(I)
+        act_new = act
         if newly.any():
+            act_new = act & ~iso_v
+            self._meter("diag.isolations", newly)
             if self.ignore_mode:
-                tgt = self.IGN if stage3 else self.ign_pend
-                tgt[:, obs, :] |= newly
-            self_new = newly[:, idxI, obs]
+                if stage3:
+                    self.IGN[:, sel, :] |= newly
+                    self._ign = True
+                else:
+                    self.ign_pend[:, sel, :] |= newly
+                    self._ign_pend = True
+            self_new = newly[:, st.diag_i, idx]
             if self.halt and self_new.any():
                 if stage3:
-                    self.TX_EN[:, obs] &= ~self_new
+                    self.TX_EN[:, sel] &= ~self_new
+                    self._tx_all = False
                 else:
-                    self.tx_off_pend[:, obs] |= self_new
-            t = p * self.T + self.offset[obs]
+                    self.tx_off_pend[:, sel] |= self_new
+                    self._tx_off = True
+            t = p * self.T + self.offset[idx]
             cand = np.where(newly, t[None, :, None], np.inf).min(axis=1)
             self.first_iso = np.minimum(self.first_iso, cand)
             for r, ii, j in zip(*np.nonzero(newly)):
                 self.iso_records.append(
-                    (int(r), int(obs[ii]) + 1, int(j) + 1, int(k),
+                    (int(r), int(idx[ii]) + 1, int(j) + 1, int(k),
                      float(t[ii]), int(pen[r, ii, j])))
 
+        cnt = None
         if self.reint_th is not None:
             cnt = np.where(act_new, 0,
-                           np.where(faulty, 0, self.RCNT[:, obs, :] + 1))
+                           np.where(faulty, 0, self.RCNT[:, sel, :] + 1))
             reint = (~act_new) & (~faulty) & (cnt >= self.reint_th)
             if reint.any():
                 cnt = np.where(reint, 0, cnt)
                 act_new = act_new | reint
                 pen = np.where(reint, 0, pen)
                 rew = np.where(reint, 0, rew)
-                self_r = reint[:, idxI, obs]
+                self_r = reint[:, st.diag_i, idx]
                 if stage3:
-                    self.TX_EN[:, obs] |= self_r
+                    self.TX_EN[:, sel] |= self_r
                 else:
-                    self.tx_on_pend[:, obs] |= self_r
-            self.acc["diag.reintegrations"] += reint.sum((1, 2))
-            self.RCNT[:, obs, :] = cnt
+                    self.tx_on_pend[:, sel] |= self_r
+                    self._tx_on = True
+                self._meter("diag.reintegrations", reint)
 
-        self.PEN[:, obs, :] = pen
-        self.REW[:, obs, :] = rew
-        self.ACTIVE[:, obs, :] = act_new
+        if st.full:
+            self.PEN, self.REW, self.ACTIVE = pen, rew, act_new
+            if cnt is not None:
+                self.RCNT = cnt
+        else:
+            self.PEN[:, sel, :] = pen
+            self.REW[:, sel, :] = rew
+            self.ACTIVE[:, sel, :] = act_new
+            if cnt is not None:
+                self.RCNT[:, sel, :] = cnt
+        self._pen_any = bool(self.PEN.any())
+        if self.reint_th is not None:
+            self._all_active = bool(self.ACTIVE.all())
+
+    # ------------------------------------------------------------------
+    def _meter(self, name: str, array: np.ndarray) -> None:
+        """Queue one per-round array for the counter reduction ``name``."""
+        self._pending[name].append(array)
+        self._pending_bytes += array.nbytes
+
+    def _flush(self) -> None:
+        """Reduce the pending per-round arrays into the counters.
+
+        Every reduction is a count of set entries per replicate over the
+        concatenation of a counter's pending arrays, so a flush costs a
+        fixed number of numpy calls however many rounds it covers.
+        """
+        R, n, acc, pending = self.R, self.n, self.acc, self._pending
+
+        def drain(name: str):
+            arrays = pending[name]
+            if not arrays:
+                return 0
+            pending[name] = []
+            return np.count_nonzero(
+                np.concatenate(arrays, axis=1).reshape(R, -1), axis=1)
+
+        uniform = drain("diag.uniform_shortcut_rounds")
+        acc["diag.uniform_shortcut_rounds"] += uniform
+        # A uniform row's n columns all hold a strict majority of n-1
+        # agreeing voters, but the event engine never votes on it.
+        acc["vote.hmaj_majority"] += drain("votes") - n * uniform
+        for name in _COUNTED:
+            if name != "diag.uniform_shortcut_rounds":
+                acc[name] += drain(name)
+
+        if pending["eps"]:
+            eps = n - np.concatenate(pending["eps"], axis=1)
+            pending["eps"] = []
+            bucket = np.searchsorted(self.eps_bounds, eps, side="left")
+            self.eps_hist += np.bincount(
+                (bucket + self._eps_rows).ravel(),
+                minlength=self.eps_hist.size).reshape(self.eps_hist.shape)
+
+        for st in self.stages:
+            if not st.pending:
+                continue
+            seq = st.pending if st.last is None else [st.last] + st.pending
+            hv = np.stack(seq)
+            if len(seq) > 1:
+                acc["diag.hv_transitions"] += np.count_nonzero(
+                    (hv[1:] != hv[:-1]).any(axis=-1), axis=(0, 2))
+            fresh = hv[len(seq) - len(st.pending):]
+            acc["pr.penalty_increments"] += (
+                fresh[0, 0].size * len(fresh)
+                - np.count_nonzero(fresh, axis=(0, 2, 3)))
+            st.last = st.pending[-1]
+            st.pending = []
+        self._pending_bytes = 0
 
     # ------------------------------------------------------------------
     def snapshot(self, rep: int) -> dict:
         """Metrics snapshot for one replicate, in registry format."""
         counters = {name: int(self.acc[name][rep]) for name in self.acc}
+        analysed = self._analysed
+        calls = self.n * (analysed
+                          - counters["diag.uniform_shortcut_rounds"])
+        counters["diag.analysis_rounds"] = analysed
+        counters["vote.hmaj_calls"] = calls
+        counters["vote.hmaj_default_healthy"] = (
+            calls - counters["vote.hmaj_majority"]
+            - counters["vote.hmaj_bottom"])
         counters["bus.slots_total"] = self.n * self.n_rounds
         counters["cluster.rounds_driven"] = self.n_rounds
         return {
@@ -481,7 +666,7 @@ class _Kernel:
                 "diag.matrix_epsilon_rows": {
                     "bounds": [int(b) for b in _EPS_BOUNDS],
                     "buckets": [int(v) for v in self.eps_hist[rep]],
-                    "count": int(self.eps_count[rep]),
+                    "count": analysed,
                 },
             },
         }

@@ -7,8 +7,11 @@ bytes; an always-failing task is retried with backoff and surfaced as
 a structured error without aborting the rest of the sweep.
 """
 
+import gc
 import json
 import os
+import sys
+import time
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.campaign import (
     table2_campaign,
     validation_campaign,
 )
+from repro.campaign.engine import TaskTimeout, _deadline
 from repro.experiments.table2 import table2
 from repro.experiments.validation import run_validation_campaign
 from repro.obs import MetricsRegistry
@@ -194,6 +198,53 @@ class TestFaultTolerance:
                               task_timeout=0.05, sleep=lambda _t: None)
         assert isinstance(result.results[0], TaskError)
         assert result.results[0].timed_out
+
+    @staticmethod
+    def _lose_first_expiry(monkeypatch, seconds):
+        """A gc callback that busy-waits once, so the first SIGALRM lands
+        inside it; Python discards what a gc callback raises and hands
+        it to ``sys.unraisablehook``, which here only records it."""
+        lost = []
+        monkeypatch.setattr(sys, "unraisablehook", lost.append)
+        state = {"spun": False}
+
+        def spin(phase, _info):
+            if phase == "start" and not state["spun"]:
+                state["spun"] = True
+                end = time.perf_counter() + seconds
+                while time.perf_counter() < end:
+                    pass
+
+        gc.callbacks.append(spin)
+        return spin, lost
+
+    def test_deadline_lost_in_gc_callback_still_fires(self, monkeypatch):
+        # The first expiry is discarded; the re-firing timer must still
+        # stop a body that runs on.
+        spin, lost = self._lose_first_expiry(monkeypatch, 0.2)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TaskTimeout):
+                with _deadline(0.05):
+                    gc.collect()
+                    while time.perf_counter() - start < 0.55:
+                        pass
+        finally:
+            gc.callbacks.remove(spin)
+        assert time.perf_counter() - start < 0.5
+        assert any(isinstance(u.exc_value, TaskTimeout) for u in lost)
+
+    def test_deadline_lost_in_gc_callback_raises_on_exit(self, monkeypatch):
+        # A body that finishes right after its lost expiry still
+        # reports the timeout.
+        spin, lost = self._lose_first_expiry(monkeypatch, 0.2)
+        try:
+            with pytest.raises(TaskTimeout):
+                with _deadline(0.05):
+                    gc.collect()
+        finally:
+            gc.callbacks.remove(spin)
+        assert any(isinstance(u.exc_value, TaskTimeout) for u in lost)
 
     def test_timeout_in_pool_keeps_siblings(self):
         slow = _spec(seed=3, n_rounds=200000)

@@ -131,8 +131,10 @@ class TestJobEventLog:
             # must produce identical SSE bytes.
             async def collect():
                 frames = b""
-                async for seq, kind, data in log.subscribe():
-                    frames += sse_frame(seq, kind, data)
+                async for seq, kind, frame in log.subscribe():
+                    # Frames are encoded once, at append.
+                    assert frame == sse_frame(seq, kind, {"i": seq})
+                    frames += frame
                 return frames
 
             early = asyncio.ensure_future(collect())
@@ -195,7 +197,7 @@ class TestJobManager:
             job = _wait(outcome.job)
             assert job.state == "done"
             assert (job.hits, job.misses) == (0, 1)
-            assert job.document["schema"].startswith(
+            assert json.loads(job.result_bytes())["schema"].startswith(
                 "repro-campaign-result/")
             assert job.log.closed
             kinds = [kind for _s, kind, _d in job.log.events()]
@@ -218,7 +220,7 @@ class TestJobManager:
         manager = _manager(tmp_path)
         try:
             job = _wait(manager.submit(request).job)
-            assert render_json(job.document) == expected
+            assert job.result_bytes() == expected.encode("utf-8")
         finally:
             manager.shutdown()
 

@@ -161,6 +161,32 @@ class TestHappyPath:
                 assert headers["content-type"] == content_type
                 assert needle in body, fmt
 
+    def test_table_formats_match_the_in_memory_document(self, tmp_path):
+        # A finished job keeps only its result bytes; the table formats
+        # parse them and must render exactly what the document itself
+        # renders to.
+        from repro.campaign import build_campaign
+        from repro.results.render import render_tables
+        from repro.results.source import parse_document, tables_for_document
+
+        body = {"campaign": "rare-events", "reps": 2, "nodes": 4}
+        definition = build_campaign("rare-events", reps=2, nodes=4)
+        result = run_campaign(definition.labeled_specs,
+                              name=definition.name)
+        tables = tables_for_document(
+            parse_document(result_document(definition, result)))
+        with _serve(tmp_path) as (url, _manager):
+            _status, created = _post_job(url, body)
+            job_id = created["job_id"]
+            assert _wait_done(url, job_id)["state"] == "done"
+            for fmt, renderer in (("ascii", "ascii"), ("md", "markdown"),
+                                  ("tex", "latex"), ("csv", "csv"),
+                                  ("html", "html")):
+                _s, _h, served = _request(
+                    f"{url}/v1/jobs/{job_id}/result?format={fmt}")
+                expected = render_tables(tables, renderer) + "\n"
+                assert served == expected.encode("utf-8"), fmt
+
 
 class TestDedupOverHTTP:
     def test_concurrent_posts_execute_one_simulation(self, tmp_path,
