@@ -220,37 +220,15 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _legacy_chunked_run(labeled, jobs: int):
-    """The pre-streaming dispatch shape, preserved for comparison: a
-    fresh process pool per fixed-size chunk, with a barrier after each
-    chunk (the slowest task idles every other worker)."""
-    from repro.campaign.engine import execute_spec_task
-    from repro.runner.pool import Task, run_tasks
-
-    tasks = campaign_tasks(labeled)
-    chunk = max(4, jobs)
-    results = []
-    for start in range(0, len(tasks), chunk):
-        batch = tasks[start:start + chunk]
-        results.extend(run_tasks(
-            [Task(execute_spec_task, (t.spec.to_dict(),), {})
-             for t in batch],
-            jobs=jobs, on_error="collect"))
-    return results
-
-
 DISPATCH_JOBS = 4
 DISPATCH_REPEATS = 3
 
 
 def _dispatch_point() -> dict:
-    """Persistent streaming pool vs legacy per-chunk pools, plus a
-    remote-stub smoke run, on the 18-task validation campaign."""
+    """The persistent streaming pool, plus a remote-stub smoke run, on
+    the 18-task validation campaign."""
     definition = validation_campaign(repetitions=1)
     labeled = definition.labeled_specs
-    legacy_s = min(_timed(lambda: _legacy_chunked_run(labeled,
-                                                      DISPATCH_JOBS))
-                   for _ in range(DISPATCH_REPEATS))
     streaming_s = min(
         _timed(lambda: run_campaign(labeled, jobs=DISPATCH_JOBS,
                                     dispatch="pool"))
@@ -261,9 +239,7 @@ def _dispatch_point() -> dict:
         "tasks": len(labeled),
         "jobs": DISPATCH_JOBS,
         "repeats": DISPATCH_REPEATS,
-        "legacy_chunked_s": round(legacy_s, 4),
         "persistent_pool_s": round(streaming_s, 4),
-        "speedup": round(legacy_s / streaming_s, 2),
         "remote_stub_hosts": 2,
         "remote_stub_s": round(remote_s, 4),
     }
@@ -400,7 +376,7 @@ def test_throughput_summary(benchmark):
                  f"{campaign_cache['consult_speedup']}x vs per-key gets"))
     rows.append((f"dispatch (jobs={dispatch['jobs']})", dispatch["tasks"],
                  f"{dispatch['persistent_pool_s']:.2f} s campaign",
-                 f"{dispatch['speedup']}x vs per-chunk pools"))
+                 f"remote-stub {dispatch['remote_stub_s']:.2f} s"))
     rows.append(("service (warm)", service["warm_requests"],
                  f"{service['warm_requests_per_s']:,.0f} req/s",
                  f"{service['speedup']}x vs cold POST"))
@@ -436,4 +412,4 @@ def test_throughput_summary(benchmark):
     }
     if backends:
         document["backends"] = backends
-    emit_json("BENCH_simulator_throughput", document, to_root=True)
+    emit_json("BENCH_simulator_throughput", document)

@@ -23,17 +23,13 @@ def emit(name: str, text: str) -> None:
     print(f"\n{text}\n")
 
 
-def emit_json(name: str, payload: Any, to_root: bool = False) -> None:
-    """Persist a machine-readable artefact as ``results/<name>.json``.
+def emit_json(name: str, payload: Any) -> None:
+    """Publish a machine-readable artefact as ``<name>.json`` at the
+    repository root (headline artefacts tracked in git, e.g.
+    ``BENCH_simulator_throughput.json``).
 
     Sorted keys and a fixed indent keep the file stable under
     re-emission, so the perf trajectory is diffable across commits.
-    With ``to_root`` the file is additionally published at the
-    repository root (headline artefacts tracked in git, e.g.
-    ``BENCH_simulator_throughput.json``).
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (RESULTS_DIR / f"{name}.json").write_text(text, encoding="utf-8")
-    if to_root:
-        (REPO_ROOT / f"{name}.json").write_text(text, encoding="utf-8")
+    (REPO_ROOT / f"{name}.json").write_text(text, encoding="utf-8")

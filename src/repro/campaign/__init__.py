@@ -14,7 +14,7 @@ a production-grade campaign run::
     print(definition.render(definition.aggregate(result.results)))
 
 * :mod:`repro.campaign.engine` — the engine: consult the store first,
-  dispatch only misses, checkpoint completed chunks, retry failures
+  dispatch only misses, checkpoint each completed task, retry failures
   with bounded backoff, enforce per-task deadlines;
 * :mod:`repro.campaign.state` — the atomic checkpoint state file
   behind ``--resume`` and ``campaign status``;

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from ..results.render import render_ascii
 from ..results.tables import Column, SeriesSpec, TableSpec
-from ..runner.pool import TaskError
+from ..runner.backends import TaskError
 from ..spec import RunSpec
 from ..store.result_store import encode_value
 from .engine import CampaignResult

@@ -21,7 +21,7 @@ campaign with three guarantees the bare sweep layer never had:
 3. **Fault tolerance.**  Workers run with an optional per-task
    deadline (SIGALRM inside the worker, so a hung task cannot wedge
    the sweep), failures surface as structured
-   :class:`~repro.runner.pool.TaskError` values, and a failed task
+   :class:`~repro.runner.backends.TaskError` values, and a failed task
    re-enters the **live** dispatch queue with bounded exponential
    backoff — no retry round barrier, siblings keep streaming.  A task
    that keeps failing ends up as a ``TaskError`` in its result slot —
@@ -30,10 +30,12 @@ campaign with three guarantees the bare sweep layer never had:
 Dispatch goes through a pluggable streaming backend
 (:mod:`repro.runner.backends`): a **persistent** local process pool
 by default (workers forked once for the whole campaign, results
-consumed via ``as_completed``), work-stealing multi-pool and
-remote-stub multi-host backends behind the same interface
-(``dispatch="pool" | "multipool" | "remote-stub"`` or any
-:class:`~repro.runner.backends.DispatchBackend` instance).
+consumed via ``as_completed``) and a remote-stub multi-host backend
+behind the same interface (``dispatch="pool" | "remote-stub"`` or any
+:class:`~repro.runner.backends.DispatchBackend` instance).  It is the
+only dispatch path: the sweeps, ``repro-diag run``, ``campaign run``
+and the HTTP service all run their specs through
+:func:`run_campaign`.
 
 Determinism contract: results and snapshots are merged in task order
 (every completion lands in its task-index slot, whatever order and
@@ -57,8 +59,12 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs.registry import NULL_REGISTRY, empty_snapshot, merge_snapshots
-from ..runner.backends import DispatchBackend, WorkItem, make_backend
-from ..runner.pool import TaskError
+from ..runner.backends import (
+    DispatchBackend,
+    TaskError,
+    WorkItem,
+    make_backend,
+)
 from ..spec import RunSpec, run_spec_dict
 from ..store import ResultStore, store_key
 from .state import CampaignState, campaign_id
@@ -258,7 +264,6 @@ def run_campaign(specs: SpecsInput,
                  backoff: float = DEFAULT_BACKOFF,
                  max_backoff: float = DEFAULT_MAX_BACKOFF,
                  task_timeout: Optional[float] = None,
-                 chunk_size: Optional[int] = None,
                  resume: bool = False,
                  state_path: Optional[str] = None,
                  metrics=NULL_REGISTRY,
@@ -278,14 +283,12 @@ def run_campaign(specs: SpecsInput,
     campaign).
 
     ``dispatch`` selects the streaming backend: ``"pool"`` (one
-    persistent process pool, the default), ``"multipool"``
-    (work-stealing pools), ``"remote-stub"`` (subprocess hosts over
-    JSONL pipes), or a ready-made
+    persistent process pool, the default), ``"remote-stub"``
+    (subprocess hosts over JSONL pipes), or a ready-made
     :class:`~repro.runner.backends.DispatchBackend` instance, which
     the caller keeps ownership of.  Results, aggregates and the merged
     metrics snapshot are byte-identical across all of them and across
-    every ``jobs`` value.  ``chunk_size`` is retained for backward
-    compatibility and ignored: commits stream per task now.
+    every ``jobs`` value.
 
     ``progress`` is an optional callback receiving small structured
     event dicts as the campaign advances — ``{"kind": "plan"}`` after
@@ -296,8 +299,6 @@ def run_campaign(specs: SpecsInput,
     nothing.  Callbacks run on the engine thread in commit order, so a
     recording observer sees the exact sequence results landed in.
     """
-    del chunk_size  # legacy knob: streaming commits replaced chunks
-
     def _notify(event: dict) -> None:
         if progress is not None:
             progress(event)
@@ -384,8 +385,7 @@ def run_campaign(specs: SpecsInput,
     def _submit_spec(index: int) -> None:
         item = WorkItem(item_id=next(item_ids), kind="spec",
                         spec=tasks[index].spec.to_dict(),
-                        timeout=task_timeout,
-                        affinity=tasks[index].key)
+                        timeout=task_timeout)
         item_members[item.item_id] = [index]
         metrics.counter("campaign.dispatched").inc()
         backend.submit(item)
@@ -396,8 +396,7 @@ def run_campaign(specs: SpecsInput,
         item = WorkItem(item_id=next(item_ids), kind="batch",
                         spec=tasks[group[0]].spec.to_dict(),
                         seeds=[tasks[i].spec.cluster.seed for i in group],
-                        timeout=task_timeout,
-                        affinity=tasks[group[0]].key)
+                        timeout=task_timeout)
         item_members[item.item_id] = list(group)
         metrics.counter("campaign.dispatched").inc(len(group))
         metrics.counter("campaign.batches").inc()

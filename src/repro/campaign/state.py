@@ -2,7 +2,7 @@
 
 The heavy lifting of checkpointing is the result store itself — every
 completed task's payload is committed there individually, so a killed
-campaign loses at most the in-flight chunk.  What this module adds is
+campaign loses at most the tasks in flight.  What this module adds is
 the small state file that makes resumption *safe and observable*:
 
 * the campaign's identity (a digest over its ordered store keys), so

@@ -309,29 +309,32 @@ def _result_passed(result) -> Optional[bool]:
     return passed
 
 
-def _apply_backend(spec_dicts: List[dict], backend: Optional[str]) -> int:
-    """Force ``backend`` onto every spec dict; 0 on success, else exit 2.
+def _apply_backend(labeled_specs: list, backend: Optional[str]):
+    """Force ``backend`` onto every ``(label, spec)`` pair.
 
-    Requesting the vectorized backend without numpy installed is
+    Returns the new pairs, or ``None`` (the caller exits 2) when the
+    vectorized backend is requested without numpy installed: that is
     reported here, before any dispatch, as a clean actionable message.
     """
-    if backend:
-        if backend == "vectorized":
-            from .vec import BackendUnavailableError, require_numpy
+    if not backend:
+        return labeled_specs
+    if backend == "vectorized":
+        from .vec import BackendUnavailableError, require_numpy
 
-            try:
-                require_numpy()
-            except BackendUnavailableError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        for spec_dict in spec_dicts:
-            spec_dict["backend"] = backend
-    return 0
+        try:
+            require_numpy()
+        except BackendUnavailableError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return None
+    from dataclasses import replace
+
+    return [(label, replace(spec, backend=backend))
+            for label, spec in labeled_specs]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .runner.pool import Task, run_tasks
-    from .spec import run_spec_dict
+    from .campaign import run_campaign
+    from .spec import RunSpec
 
     if args.path == "-":
         text = sys.stdin.read()
@@ -339,45 +342,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with open(args.path, "r", encoding="utf-8") as handle:
             text = handle.read()
     data = json.loads(text)
-    spec_dicts = data if isinstance(data, list) else [data]
-    status = _apply_backend(spec_dicts, getattr(args, "backend", None))
-    if status:
-        return status
     try:
-        from .spec import RunSpec
-
-        for spec_dict in spec_dicts:
-            RunSpec.from_dict(spec_dict)
+        specs = [RunSpec.from_dict(spec_dict)
+                 for spec_dict in (data if isinstance(data, list) else [data])]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    collect = bool(args.metrics_out)
-    kwargs = {"collect_metrics": True} if collect else {}
-    tasks = [Task(run_spec_dict, (spec_dict,), dict(kwargs))
-             for spec_dict in spec_dicts]
-    try:
-        results = run_tasks(tasks, jobs=args.jobs)
-    except ValueError as exc:
-        # e.g. UnsupportedSpecError: the spec asked the vectorized
-        # backend for a feature only the event engine models.
-        print(f"error: {exc}", file=sys.stderr)
+    labeled = _apply_backend([(f"spec #{index}", spec)
+                              for index, spec in enumerate(specs)],
+                             args.backend)
+    if labeled is None:
         return 2
-    if collect:
-        from .obs import merge_snapshots
-
-        snapshot = merge_snapshots(snap for _result, snap in results)
-        results = [result for result, _snap in results]
+    # No store and no retries: a failing spec (e.g. UnsupportedSpecError,
+    # a feature only the event engine models) is reported at once.
+    result = run_campaign(labeled, jobs=args.jobs, retries=0)
+    if result.errors:
+        error = result.errors[0]
+        print(f"error: {error.error_type}: {error.message}",
+              file=sys.stderr)
+        return 2
     failed = 0
-    for result in results:
-        print(result)
-        if _result_passed(result) is False:
+    for outcome in result.results:
+        print(outcome)
+        if _result_passed(outcome) is False:
             failed += 1
-    verdicts = [_result_passed(r) for r in results]
+    verdicts = [_result_passed(r) for r in result.results]
     scored = sum(1 for v in verdicts if v is not None)
-    print(f"{len(results)} run(s), {scored} scored, {failed} failed")
-    if collect:
+    print(f"{len(result.results)} run(s), {scored} scored, {failed} failed")
+    if args.metrics_out:
         _write_metrics_report(args.metrics_out, "run",
-                              {"specs": len(spec_dicts)}, snapshot)
+                              {"specs": len(specs)},
+                              result.merged_snapshot())
     return 1 if failed else 0
 
 
@@ -392,6 +387,7 @@ def _open_store(args, metrics):
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import os
+    from dataclasses import replace
 
     from .campaign import (
         NAMED_CAMPAIGNS,
@@ -419,21 +415,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
               f"{NAMED_CAMPAIGNS} nor a spec file", file=sys.stderr)
         return 2
 
-    backend = getattr(args, "backend", None)
-    if backend:
-        from dataclasses import replace as _replace
-
-        if backend == "vectorized":
-            from .vec import BackendUnavailableError, require_numpy
-
-            try:
-                require_numpy()
-            except BackendUnavailableError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        definition = _replace(definition, labeled_specs=[
-            (label, _replace(spec, backend=backend))
-            for label, spec in definition.labeled_specs])
+    labeled = _apply_backend(definition.labeled_specs, args.backend)
+    if labeled is None:
+        return 2
+    definition = replace(definition, labeled_specs=labeled)
 
     engine_metrics = MetricsRegistry()
     store = _open_store(args, engine_metrics)
@@ -442,8 +427,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             definition.labeled_specs, name=definition.name, store=store,
             jobs=args.jobs, retries=args.retries,
             task_timeout=args.task_timeout, resume=args.resume,
-            metrics=engine_metrics,
-            dispatch=getattr(args, "dispatch", "pool"))
+            metrics=engine_metrics, dispatch=args.dispatch)
     except InterruptedCampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -807,11 +791,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the simulation backend on every spec; "
                         "vectorized Monte Carlo replicates dispatch as "
                         "lockstep kernel batches")
-    p.add_argument("--dispatch", choices=("pool", "multipool", "remote-stub"),
+    p.add_argument("--dispatch", choices=("pool", "remote-stub"),
                    default="pool",
-                   help="dispatch backend: one persistent process pool, "
-                        "work-stealing multi-pool, or subprocess-per-host "
-                        "remote stub (results identical for any choice)")
+                   help="dispatch backend: one persistent process pool "
+                        "or subprocess-per-host remote stub (results "
+                        "identical for either choice)")
     p.set_defaults(func=_cmd_campaign_run)
 
     p = campaign_sub.add_parser(

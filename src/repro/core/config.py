@@ -101,6 +101,7 @@ class ProtocolConfig:
         First round eligible for diagnosis: analysis is skipped until
         the diagnosed round reaches this index, letting the
         dissemination pipeline fill with genuine observations.
+        Must be >= 0.
     isolation_mode:
         Whether isolated nodes are ignored (paper default) or observed
         (reintegration extension).
@@ -138,6 +139,9 @@ class ProtocolConfig:
             raise ValueError("penalty_threshold must be >= 0")
         if self.reward_threshold < 1:
             raise ValueError("reward_threshold must be >= 1")
+        if self.startup_rounds < 0:
+            raise ValueError(
+                f"startup_rounds must be >= 0, got {self.startup_rounds}")
         if (self.reintegration_reward_threshold is not None
                 and self.isolation_mode is not IsolationMode.OBSERVE):
             raise ValueError(

@@ -8,19 +8,21 @@ so the campaigns are embarrassingly parallel.
 
 This package fans those repetitions across worker processes while
 keeping the aggregate results *exactly* equal to the serial campaign:
+every task's randomness comes from its spec (an explicit seed), and
+the campaign engine merges results in task order, never completion
+order.
 
-* :mod:`repro.runner.pool` — the generic contract: picklable tasks,
-  deterministic per-task seeds, results merged in task order (never
-  completion order);
 * :mod:`repro.runner.backends` — streaming dispatch backends for the
-  campaign engine: a persistent local pool, a work-stealing multi-pool
-  and a subprocess-per-host remote stub with heartbeats
-  (:mod:`repro.runner.heartbeat`);
+  campaign engine: a persistent local pool and a subprocess-per-host
+  remote stub with heartbeats (:mod:`repro.runner.heartbeat`), plus
+  the structured :class:`TaskError` a failed task leaves in its slot;
 * :mod:`repro.runner.sweep` — pre-built decompositions of the Sec. 8
-  validation campaign and the Table 2 tuning experiment.
+  validation campaign, the Table 2 tuning experiment and Monte Carlo
+  replicate sweeps.
 
-The ``repro-diag validate --jobs N`` / ``campaign run --dispatch``
-CLI flags and the campaign benchmarks are wired through these.
+The ``repro-diag validate --jobs N`` / ``run --jobs N`` /
+``campaign run --dispatch`` CLI flags and the campaign benchmarks are
+wired through these, always via :func:`repro.campaign.run_campaign`.
 """
 
 from .backends import (
@@ -28,14 +30,13 @@ from .backends import (
     Completion,
     DispatchBackend,
     LocalPoolBackend,
-    MultiPoolBackend,
     RemoteStubBackend,
+    TaskError,
     WorkItem,
     make_backend,
 )
 from .heartbeat import HeartbeatEmitter, HeartbeatMonitor
-from .pool import Task, TaskError, derive_task_seeds, run_tasks
-from .sweep import run_table2_sweep, run_validation_sweep, spec_task
+from .sweep import run_table2_sweep, run_validation_sweep
 
 __all__ = [
     "DISPATCH_BACKENDS",
@@ -44,15 +45,10 @@ __all__ = [
     "HeartbeatEmitter",
     "HeartbeatMonitor",
     "LocalPoolBackend",
-    "MultiPoolBackend",
     "RemoteStubBackend",
-    "Task",
     "TaskError",
     "WorkItem",
-    "derive_task_seeds",
     "make_backend",
-    "run_tasks",
     "run_table2_sweep",
     "run_validation_sweep",
-    "spec_task",
 ]

@@ -1,11 +1,9 @@
 """Streaming dispatch backends for the campaign engine.
 
-The campaign hot loop used to pay three avoidable costs per sweep: a
-fresh :class:`~concurrent.futures.ProcessPoolExecutor` per chunk *and*
-per retry round, chunk barriers (one straggler idles every worker
-until the whole chunk returns), and a retry model that waited for a
-full round before re-dispatching anything.  This module abstracts
-dispatch behind one small interface so the engine can stream instead:
+The campaign engine dispatches through one small interface, so it
+can stream: workers live for the whole campaign, results are consumed
+as they complete, and a failed task is re-dispatched without waiting
+for the rest of its round:
 
 * :meth:`DispatchBackend.submit` enqueues a :class:`WorkItem`;
 * :meth:`DispatchBackend.as_completed` yields :class:`Completion`
@@ -19,20 +17,16 @@ result into its task-index slot and merges results and metrics
 snapshots in task order, so every backend — and every worker count —
 produces byte-identical merged artefacts.
 
-Three implementations:
+Two implementations:
 
 * :class:`LocalPoolBackend` — one **persistent** process pool that
   lives for the whole campaign.  Workers are forked once (inheriting
-  the parent's already-imported modules) and reused across tasks and
-  retry rounds.  Replicate groups ship deduplicated: one spec dict
-  plus a seed list per :class:`WorkItem`, never one spec copy per
-  replicate.  ``jobs <= 1`` degrades to inline in-process execution —
-  the reference semantics, with no subprocess ever spawned.
-* :class:`MultiPoolBackend` — several local pools with work-stealing
-  over spec digests, for NUMA/oversubscription experiments: items are
-  routed to a home pool by hashing their ``affinity`` (the spec's
-  store key, so replicates of one physics land together), and an idle
-  pool steals from the deepest backlog (counter ``dispatch.steals``).
+  the parent's already-imported modules), reused across tasks and
+  retry rounds, and exit on their own if the campaign process dies.
+  Replicate groups ship deduplicated: one spec dict plus a seed list
+  per :class:`WorkItem`, never one spec copy per replicate.
+  ``jobs <= 1`` degrades to inline in-process execution — the
+  reference semantics, with no subprocess ever spawned.
 * :class:`RemoteStubBackend` — a subprocess-per-"host" backend
   speaking an SSH-shaped command protocol: JSONL requests down stdin,
   JSONL results and heartbeats up stdout
@@ -49,7 +43,9 @@ Three implementations:
 Work executes through one module-level entry point,
 :func:`execute_work_item`, resolved against the :data:`WORK_KINDS`
 registry — picklable for process pools, importable by remote workers,
-and monkeypatchable by fault-injection tests.
+and monkeypatchable by fault-injection tests.  A task that raises
+becomes a structured :class:`TaskError`, never an exception that
+escapes the backend.
 """
 
 from __future__ import annotations
@@ -59,7 +55,8 @@ import os
 import subprocess
 import sys
 import threading
-import zlib
+import time
+import traceback as _traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -73,10 +70,9 @@ from .heartbeat import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     HeartbeatMonitor,
 )
-from .pool import TaskError, task_error_from_exception
 
 #: The dispatch backends the CLI and engine accept by name.
-DISPATCH_BACKENDS = ("pool", "multipool", "remote-stub")
+DISPATCH_BACKENDS = ("pool", "remote-stub")
 
 #: How many consecutive dead-host re-dispatches one item survives
 #: before it is failed as a structured error (guards against a task
@@ -85,8 +81,48 @@ MAX_REDISPATCHES = 3
 
 
 # ----------------------------------------------------------------------
-# Work items and the worker entry point
+# Task errors, work items and the worker entry point
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TaskError:
+    """Structured record of one task's failure.
+
+    Sits in the failed task's slot of the campaign result list, so the
+    caller keeps every sibling result and knows exactly which indices
+    failed.  ``error_type`` is the exception class name, ``traceback``
+    the formatted worker-side traceback (best effort: an exception that
+    crossed a process boundary reformats without the worker frames).
+    """
+
+    index: int
+    error_type: str
+    message: str
+    traceback: str = ""
+    timed_out: bool = False
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        kind = "timeout" if self.timed_out else "error"
+        return (f"TaskError(task {self.index}: {kind} "
+                f"{self.error_type}: {self.message})")
+
+
+def task_error_from_exception(exc: BaseException,
+                              index: int = -1) -> TaskError:
+    """Structure ``exc`` as a :class:`TaskError` for slot ``index``.
+
+    The backends pass the placeholder ``index=-1`` and let the campaign
+    engine rewrite it per task slot.
+    """
+    return TaskError(
+        index=index,
+        error_type=type(exc).__name__,
+        message=str(exc),
+        traceback="".join(_traceback.format_exception(
+            type(exc), exc, exc.__traceback__)),
+        timed_out=isinstance(exc, TimeoutError),
+    )
+
+
 @dataclass
 class WorkItem:
     """One unit of dispatch: a spec run or a replicate batch.
@@ -94,9 +130,7 @@ class WorkItem:
     ``kind`` selects the handler from :data:`WORK_KINDS`; ``spec`` is
     the plain ``RunSpec.to_dict()`` payload; a batch item carries the
     replicate group's ``seeds`` beside **one** shared spec dict (the
-    payload-dedup shape).  ``affinity`` is a routing key — the spec's
-    store key — used by :class:`MultiPoolBackend` to keep related
-    items on one pool until stolen.  ``redispatches`` counts dead-host
+    payload-dedup shape).  ``redispatches`` counts dead-host
     re-dispatches (remote backend only).
     """
 
@@ -105,7 +139,6 @@ class WorkItem:
     spec: dict
     seeds: Optional[List[int]] = None
     timeout: Optional[float] = None
-    affinity: str = ""
     redispatches: int = 0
 
 
@@ -219,12 +252,37 @@ class DispatchBackend:
 # ----------------------------------------------------------------------
 # Local persistent pool
 # ----------------------------------------------------------------------
+#: How often a pool worker checks that the process that started it is
+#: still its parent.
+_PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the campaign process is gone.
+
+    A SIGKILLed parent cannot shut its pool down, and an idle worker
+    blocked on the call queue never sees EOF (it holds both pipe ends
+    itself), so it would linger re-parented to init.  A daemon thread
+    notices the re-parenting instead and ends the worker.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True,
+                     name="parent-watch").start()
+
+
 class LocalPoolBackend(DispatchBackend):
     """A persistent process pool living for the whole campaign.
 
     The executor is created lazily on first submit — a fully-warm
     campaign never forks a worker — and reused across every task and
-    retry until :meth:`close`.  With ``jobs <= 1`` items execute
+    retry until :meth:`close`; its workers exit by themselves if the
+    campaign process dies first.  With ``jobs <= 1`` items execute
     inline in the parent process when :meth:`as_completed` drains the
     queue: the serial reference semantics.
     """
@@ -241,7 +299,8 @@ class LocalPoolBackend(DispatchBackend):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._jobs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._jobs, initializer=_exit_with_parent)
         return self._pool
 
     def submit(self, item: WorkItem) -> None:
@@ -276,100 +335,6 @@ class LocalPoolBackend(DispatchBackend):
             self._pool = None
         self._futures.clear()
         self._inline.clear()
-
-
-# ----------------------------------------------------------------------
-# Multiple pools with work-stealing
-# ----------------------------------------------------------------------
-class MultiPoolBackend(DispatchBackend):
-    """Several local pools with work-stealing over spec digests.
-
-    ``jobs`` workers are split across ``pools`` executors.  Each item
-    has a *home* pool — ``crc32(affinity) % pools`` — so replicates of
-    one spec stay together (warm page cache, shared imports, and on a
-    NUMA box one socket).  A pool with a drained backlog steals from
-    the back of the deepest competitor backlog; every steal bumps the
-    ``dispatch.steals`` counter.  The point of this backend is the
-    experiment — measuring what locality vs stealing costs under
-    oversubscription — not a default recommendation.
-    """
-
-    name = "multipool"
-
-    def __init__(self, jobs: int = 2, pools: int = 2,
-                 metrics=NULL_REGISTRY) -> None:
-        jobs = max(1, int(jobs))
-        self._n = max(1, min(int(pools), jobs))
-        self._jobs_per_pool = max(1, jobs // self._n)
-        self._metrics = metrics
-        self._pools: List[Optional[ProcessPoolExecutor]] = [None] * self._n
-        self._backlogs: List[deque] = [deque() for _ in range(self._n)]
-        self._inflight: List[Dict[Future, WorkItem]] = [
-            {} for _ in range(self._n)]
-        self._closed = False
-
-    def _ensure_pool(self, index: int) -> ProcessPoolExecutor:
-        if self._pools[index] is None:
-            self._pools[index] = ProcessPoolExecutor(
-                max_workers=self._jobs_per_pool)
-        return self._pools[index]
-
-    def _home(self, item: WorkItem) -> int:
-        if item.affinity:
-            return zlib.crc32(item.affinity.encode("utf-8")) % self._n
-        return item.item_id % self._n
-
-    def submit(self, item: WorkItem) -> None:
-        """Queue ``item`` on its home pool's backlog."""
-        if self._closed:
-            raise RuntimeError("backend is closed")
-        self._backlogs[self._home(item)].append(item)
-        self._fill()
-
-    def _fill(self) -> None:
-        """Top every pool up to capacity from its own backlog, then by
-        stealing from the deepest other backlog."""
-        for i in range(self._n):
-            while len(self._inflight[i]) < self._jobs_per_pool:
-                if self._backlogs[i]:
-                    item = self._backlogs[i].popleft()
-                else:
-                    donor = max(range(self._n),
-                                key=lambda j: len(self._backlogs[j]))
-                    if not self._backlogs[donor]:
-                        break
-                    item = self._backlogs[donor].pop()
-                    self._metrics.counter("dispatch.steals").inc()
-                future = self._ensure_pool(i).submit(
-                    execute_work_item, item.kind, item.spec, item.seeds,
-                    item.timeout)
-                self._inflight[i][future] = item
-
-    def as_completed(self) -> Iterator[Completion]:
-        """Stream completions across all pools, refilling as they
-        drain (steals happen here)."""
-        while any(self._inflight) or any(self._backlogs):
-            self._fill()
-            pending = [f for flight in self._inflight for f in flight]
-            done, _ = futures_wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                for flight in self._inflight:
-                    item = flight.pop(future, None)
-                    if item is not None:
-                        yield _completion_from_future(item, future)
-                        break
-
-    def close(self) -> None:
-        """Shut every pool down and drop queued work."""
-        self._closed = True
-        for i, pool in enumerate(self._pools):
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-                self._pools[i] = None
-        for flight in self._inflight:
-            flight.clear()
-        for backlog in self._backlogs:
-            backlog.clear()
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +374,7 @@ class RemoteStubBackend(DispatchBackend):
     host's in-flight item re-enters the queue head and a replacement
     host is spawned (``dispatch.worker_restarts``); an item that kills
     :data:`MAX_REDISPATCHES` hosts in a row is failed with a
-    structured :class:`~repro.runner.pool.TaskError` instead of
+    structured :class:`TaskError` instead of
     looping forever.
 
     Results cross the pipe through the store codec
@@ -641,17 +606,14 @@ def make_backend(dispatch: Union[str, DispatchBackend], jobs: int = 1,
                  metrics=NULL_REGISTRY) -> DispatchBackend:
     """Resolve a dispatch selector (name or instance) to a backend.
 
-    ``"pool"`` maps ``jobs`` to pool workers, ``"multipool"`` splits
-    them across two pools, ``"remote-stub"`` runs one task at a time
-    on each of ``jobs`` subprocess hosts.  An already-built backend
+    ``"pool"`` maps ``jobs`` to pool workers, ``"remote-stub"`` runs
+    one task at a time on each of ``jobs`` subprocess hosts.  An already-built backend
     passes through untouched (the caller keeps ownership).
     """
     if isinstance(dispatch, DispatchBackend):
         return dispatch
     if dispatch == "pool":
         return LocalPoolBackend(jobs=jobs, metrics=metrics)
-    if dispatch == "multipool":
-        return MultiPoolBackend(jobs=jobs, metrics=metrics)
     if dispatch == "remote-stub":
         return RemoteStubBackend(hosts=jobs, metrics=metrics)
     raise ValueError(f"unknown dispatch backend {dispatch!r}; expected "
@@ -664,10 +626,11 @@ __all__ = [
     "Completion",
     "DispatchBackend",
     "LocalPoolBackend",
-    "MultiPoolBackend",
     "RemoteStubBackend",
+    "TaskError",
     "WORK_KINDS",
     "WorkItem",
     "execute_work_item",
     "make_backend",
+    "task_error_from_exception",
 ]

@@ -4,8 +4,8 @@ Each sweep names a campaign definition from
 :mod:`repro.campaign.definitions` — the exact serial loop order, the
 same experiment-class names, the same per-repetition seeds — and hands
 it to :func:`repro.campaign.run_campaign`, which dispatches the specs
-through the process pool (every task is the same generic metered
-worker) and merges results back in task-submission order.
+through its persistent process pool (every task is the same generic
+metered worker) and merges results back in task-submission order.
 Consequences, unchanged from the pre-campaign sweeps:
 
 * ``run_validation_sweep(reps, jobs=1)`` reproduces
@@ -27,50 +27,19 @@ value and every cache state.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..experiments.validation import PAPER_N_NODES
-from ..spec import RunSpec, run_spec_dict
+from ..spec import RunSpec
 from ..store import ResultStore
 from ..tt.cluster import PAPER_ROUND_LENGTH
-from .pool import Task
-
-
-def spec_task(spec: RunSpec, collect_metrics: bool = False) -> Task:
-    """The generic pool task executing one serialized spec.
-
-    The spec travels as the plain dict ``RunSpec.to_dict`` emits, and
-    the worker is always :func:`repro.spec.run_spec_dict` — no campaign
-    ever needs a bespoke picklable closure.
-    """
-    kwargs = {"collect_metrics": True} if collect_metrics else {}
-    return Task(run_spec_dict, (spec.to_dict(),), kwargs)
-
-
-def validation_tasks(repetitions: int = 100,
-                     n_nodes: int = PAPER_N_NODES,
-                     collect_metrics: bool = False
-                     ) -> List[Tuple[str, Task]]:
-    """The Sec. 8 campaign as ``(experiment class, Task)`` pairs.
-
-    Generated in exactly the loop order of
-    :func:`~repro.experiments.validation.run_validation_campaign`, with
-    the same class names and the same ``seed = repetition`` assignment.
-    With ``collect_metrics`` each task returns ``(result, snapshot)``
-    instead of a bare result.
-    """
-    from ..experiments.validation import validation_specs
-
-    return [(cls, spec_task(spec, collect_metrics))
-            for cls, spec in validation_specs(repetitions, n_nodes)]
 
 
 def run_validation_sweep(repetitions: int = 100,
                          n_nodes: int = PAPER_N_NODES,
                          jobs: int = 1,
                          with_metrics: bool = False,
-                         store: Optional[ResultStore] = None,
-                         dispatch: str = "pool"):
+                         store: Optional[ResultStore] = None):
     """The Sec. 8 validation campaign, optionally fanned across workers.
 
     The aggregate :class:`CampaignSummary` is identical for every
@@ -83,14 +52,15 @@ def run_validation_sweep(repetitions: int = 100,
     with ``store`` the sweep consults/fills the persistent result
     store first.
     """
-    # Imported lazily: repro.campaign imports the pool from this
-    # package, so a module-level import here would be circular.
+    # Imported lazily: repro.campaign imports the dispatch backends
+    # from this package, so a module-level import here would be
+    # circular.
     from ..campaign import run_campaign, validation_campaign
 
     definition = validation_campaign(repetitions=repetitions,
                                      n_nodes=n_nodes)
     result = run_campaign(definition.labeled_specs, name=definition.name,
-                          store=store, jobs=jobs, dispatch=dispatch)
+                          store=store, jobs=jobs)
     result.raise_first_error()
     summary = definition.aggregate(result.results)
     if with_metrics:
@@ -102,8 +72,7 @@ def run_table2_sweep(seed: int = 0,
                      round_length: float = PAPER_ROUND_LENGTH,
                      jobs: int = 1,
                      with_metrics: bool = False,
-                     store: Optional[ResultStore] = None,
-                     dispatch: str = "pool"):
+                     store: Optional[ResultStore] = None):
     """The Sec. 9 tuning experiment, one worker per (domain, class).
 
     Decomposes :func:`~repro.experiments.table2.table2` into its
@@ -116,7 +85,7 @@ def run_table2_sweep(seed: int = 0,
 
     definition = table2_campaign(seed=seed, round_length=round_length)
     result = run_campaign(definition.labeled_specs, name=definition.name,
-                          store=store, jobs=jobs, dispatch=dispatch)
+                          store=store, jobs=jobs)
     result.raise_first_error()
     rows = definition.aggregate(result.results)
     if with_metrics:
@@ -135,8 +104,7 @@ def run_monte_carlo_sweep(spec: RunSpec, replicates: int,
                           jobs: int = 1,
                           with_metrics: bool = False,
                           store: Optional[ResultStore] = None,
-                          reducer: Optional[str] = None,
-                          dispatch: str = "pool"):
+                          reducer: Optional[str] = None):
     """Monte Carlo: one spec across ``replicates`` seed-shifted copies.
 
     Results come back in replicate order, cached per replicate by
@@ -157,7 +125,7 @@ def run_monte_carlo_sweep(spec: RunSpec, replicates: int,
     specs = monte_carlo_specs(spec, replicates)
     result = run_campaign(
         [(f"replicate-{i}", replicate) for i, replicate in enumerate(specs)],
-        name="monte-carlo", store=store, jobs=jobs, dispatch=dispatch)
+        name="monte-carlo", store=store, jobs=jobs)
     result.raise_first_error()
     if with_metrics:
         return result.results, result.merged_snapshot()
@@ -165,8 +133,6 @@ def run_monte_carlo_sweep(spec: RunSpec, replicates: int,
 
 
 __all__ = [
-    "spec_task",
-    "validation_tasks",
     "monte_carlo_specs",
     "run_monte_carlo_sweep",
     "run_validation_sweep",

@@ -22,7 +22,7 @@ computes.  Submission follows a strict store-first protocol:
    log.
 
 States are ``queued | running | done | failed``; failures carry the
-engine's structured :class:`~repro.runner.pool.TaskError` payloads.
+engine's structured :class:`~repro.runner.backends.TaskError` payloads.
 Graceful shutdown drains in-flight and queued jobs (every commit is
 already in the store, so even an ungraceful death leaves re-submitted
 jobs resumable — that is the store's checkpoint contract).

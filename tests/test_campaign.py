@@ -31,7 +31,7 @@ from repro.campaign.engine import TaskTimeout, _deadline
 from repro.experiments.table2 import table2
 from repro.experiments.validation import run_validation_campaign
 from repro.obs import MetricsRegistry
-from repro.runner.pool import TaskError
+from repro.runner.backends import TaskError
 from repro.runner.sweep import run_table2_sweep, run_validation_sweep
 from repro.spec import ClusterSpec, ProtocolSpec, RunSpec
 from repro.store import ResultStore

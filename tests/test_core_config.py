@@ -36,6 +36,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             uniform_config(4, reward_threshold=0)
 
+    def test_startup_rounds_not_negative(self):
+        with pytest.raises(ValueError, match="startup_rounds"):
+            uniform_config(4, startup_rounds=-1)
+        # Round 0 stays a legal first diagnosed round.
+        assert uniform_config(4, startup_rounds=0).startup_rounds == 0
+
     def test_reintegration_requires_observe(self):
         with pytest.raises(ValueError):
             uniform_config(4, reintegration_reward_threshold=10)

@@ -11,11 +11,16 @@ The fault-model tests then go after what distinguishes the remote
 stub: a killed host's in-flight work re-enters the queue
 (``dispatch.worker_restarts``), a *stopped* host — process alive,
 heartbeats silent — is detected through the heartbeat monitor, and an
-item that keeps killing hosts dead-letters instead of looping.
+item that keeps killing hosts dead-letters instead of looping.  The
+local pool's workers, in turn, must not outlive a SIGKILLed campaign.
 """
 
 import json
+import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -27,14 +32,13 @@ from repro.runner.backends import (
     DISPATCH_BACKENDS,
     WORK_KINDS,
     LocalPoolBackend,
-    MultiPoolBackend,
     RemoteStubBackend,
+    TaskError,
     WorkItem,
     execute_work_item,
     make_backend,
 )
 from repro.runner.heartbeat import HeartbeatEmitter, HeartbeatMonitor
-from repro.runner.pool import TaskError
 from repro.spec import ClusterSpec, ProtocolSpec, RunSpec
 from repro.vec import NUMPY_AVAILABLE
 
@@ -117,7 +121,6 @@ class TestFactory:
 
     def test_names_resolve(self):
         for name, cls in (("pool", LocalPoolBackend),
-                          ("multipool", MultiPoolBackend),
                           ("remote-stub", RemoteStubBackend)):
             backend = make_backend(name, jobs=1)
             assert isinstance(backend, cls)
@@ -142,24 +145,62 @@ class TestFactory:
 
 
 # ----------------------------------------------------------------------
-# Work-stealing
+# Local pool lifecycle
 # ----------------------------------------------------------------------
-def test_multipool_steals_from_deep_backlog():
-    metrics = MetricsRegistry()
-    backend = MultiPoolBackend(jobs=2, pools=2, metrics=metrics)
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: Holds a jobs=2 pool with started workers, prints their pids, waits.
+_HOLD_POOL = """
+import json, multiprocessing, sys, time
+from repro.runner.backends import LocalPoolBackend, WorkItem
+
+backend = LocalPoolBackend(jobs=2)
+for i in range(2):
+    backend.submit(WorkItem(item_id=i, kind="spec",
+                            spec=json.loads(sys.argv[1])))
+list(backend.as_completed())
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper is gone."""
     try:
-        # Same affinity -> same home pool: the other pool can only eat
-        # by stealing.
-        for i in range(6):
-            backend.submit(WorkItem(item_id=i, kind="spec",
-                                    spec=_spec(seed=i).to_dict(),
-                                    affinity="same-physics"))
-        completions = list(backend.as_completed())
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_pool_workers_exit_when_campaign_is_killed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_POOL, json.dumps(_spec().to_dict())],
+        env=env, stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        ready, _, _ = select.select([holder.stdout], [], [], 60.0)
+        assert ready, "the pool holder never reported its workers"
+        workers = [int(pid) for pid in holder.stdout.readline().split()]
+        assert len(workers) == 2
+        holder.kill()
+        holder.wait()
+        assert _wait_until(
+            lambda: not any(_alive(pid) for pid in workers), timeout=5.0), \
+            f"pool workers outlived their campaign: {workers}"
     finally:
-        backend.close()
-    assert len(completions) == 6
-    assert all(c.error is None for c in completions)
-    assert metrics.snapshot()["counters"]["dispatch.steals"] >= 1
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
 
 
 # ----------------------------------------------------------------------

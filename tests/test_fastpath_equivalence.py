@@ -146,14 +146,14 @@ def test_fast_path_skips_injection_machinery():
 # *describe the execution strategy itself* (``bus.slots_fast_path`` /
 # ``bus.slots_slow_path``), which are expected to differ and are
 # excluded from the comparison.  A subset of cases is additionally run
-# through the process pool to pin ``jobs=1 == jobs=4``.
+# through a process pool to pin serial == four workers.
 
 import random as _random
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.core.service import LowLatencyCluster, MembershipCluster
 from repro.faults.scenarios import crash
 from repro.obs import MetricsRegistry
-from repro.runner.pool import Task, run_tasks
 
 FUZZ_CASES = 50
 FUZZ_NODES = (4, 8, 16)
@@ -286,10 +286,11 @@ def test_fuzz_fast_slow_differential(case_seed):
 
 
 def test_fuzz_jobs_invariant():
-    """The first ten fuzz cases through the pool: jobs=1 == jobs=4."""
+    """The first ten fuzz cases through a process pool: serial == 4 workers."""
     seeds = list(range(10))
-    serial = run_tasks([Task(_fuzz_worker, (s,)) for s in seeds], jobs=1)
-    parallel = run_tasks([Task(_fuzz_worker, (s,)) for s in seeds], jobs=4)
+    serial = [_fuzz_worker(s) for s in seeds]
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(_fuzz_worker, seeds))
     assert serial == parallel
 
 
@@ -326,7 +327,9 @@ def test_fuzz_bitset_fastpath_matrix(case_seed):
 
 
 def test_fuzz_variants_jobs_invariant():
-    """Variant fuzz cases through the pool: jobs=1 == jobs=4."""
-    tasks = [Task(_variant_worker, (s, kind))
-             for s in (0, 1, 2) for kind in VARIANT_KINDS]
-    assert (run_tasks(tasks, jobs=1) == run_tasks(tasks, jobs=4))
+    """Variant fuzz cases through a process pool: serial == 4 workers."""
+    cases = [(s, kind) for s in (0, 1, 2) for kind in VARIANT_KINDS]
+    serial = [_variant_worker(s, kind) for s, kind in cases]
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        parallel = list(pool.map(_variant_worker, *zip(*cases)))
+    assert serial == parallel

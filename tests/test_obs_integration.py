@@ -262,12 +262,10 @@ class TestDeterminism:
                                                 with_metrics=True)
         # Re-merge the per-task snapshots in reverse order by rerunning
         # the tasks serially ourselves.
-        from repro.runner.pool import run_tasks
-        from repro.runner.sweep import validation_tasks
+        from repro.campaign import run_campaign, validation_campaign
 
-        tasks = validation_tasks(1, collect_metrics=True)
-        results = run_tasks([t for _cls, t in tasks], jobs=1)
-        snaps = [snap for _passed, snap in results]
+        snaps = run_campaign(
+            validation_campaign(repetitions=1).labeled_specs).snapshots
         assert merge_snapshots(snaps) == merged
         assert merge_snapshots(reversed(snaps)) == merged
 

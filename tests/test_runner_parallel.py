@@ -3,90 +3,103 @@
 The contract of :mod:`repro.runner` is that the worker count is purely
 an execution detail: ``jobs=1`` reproduces the serial campaign
 functions exactly, and any ``jobs > 1`` reproduces ``jobs=1`` exactly
-(explicit per-task seeds, submission-order merging).  These tests pin
-both halves of the contract plus the pool primitives themselves.
+(explicit per-task seeds, task-order merging).  These tests pin both
+halves of the contract plus the dispatch primitives themselves, as the
+campaign engine exposes them.
 """
 
 import pytest
 
+from repro.campaign import (
+    CampaignFailedError,
+    run_campaign,
+    validation_campaign,
+)
 from repro.experiments.table2 import table2
 from repro.experiments.validation import run_validation_campaign
-from repro.runner.pool import Task, TaskError, derive_task_seeds, run_tasks
-from repro.runner.sweep import (
-    run_table2_sweep,
-    run_validation_sweep,
-    validation_tasks,
-)
+from repro.runner.backends import TaskError
+from repro.runner.sweep import run_table2_sweep, run_validation_sweep
+from repro.spec import ClusterSpec, ProtocolSpec, RunSpec, run_spec_dict
 
 REPS = 2
 
 
-def _square(x):
-    return x * x
+def _spec(seed=0, n_rounds=4, reducer=None):
+    return RunSpec(
+        protocol=ProtocolSpec(n_nodes=4, penalty_threshold=3,
+                              reward_threshold=50,
+                              criticalities=(1, 1, 1, 1)),
+        cluster=ClusterSpec(seed=seed),
+        n_rounds=n_rounds,
+        reducer=reducer,
+    )
 
 
-def _boom():
-    raise RuntimeError("worker failure")
+def _boom(reducer="no.such.reducer"):
+    # An unknown reducer passes spec validation but raises in the
+    # worker at reduce time: a deterministic always-failing task.
+    return _spec(reducer=reducer)
+
+
+def _run(specs, jobs):
+    return run_campaign([(f"task-{i}", s) for i, s in enumerate(specs)],
+                        jobs=jobs, retries=0, sleep=lambda _t: None)
+
+
+def _reference(spec):
+    return run_spec_dict(spec.to_dict())
 
 
 class TestPool:
     def test_serial_preserves_task_order(self):
-        tasks = [Task(_square, (i,)) for i in range(6)]
-        assert run_tasks(tasks, jobs=1) == [i * i for i in range(6)]
+        specs = [_spec(seed=i, n_rounds=4 + i) for i in range(6)]
+        result = _run(specs, jobs=1)
+        assert result.results == [_reference(s) for s in specs]
+        assert [r["rounds"] for r in result.results] == list(range(4, 10))
 
     def test_parallel_preserves_task_order(self):
-        tasks = [Task(_square, (i,)) for i in range(12)]
-        assert run_tasks(tasks, jobs=4) == [i * i for i in range(12)]
+        specs = [_spec(seed=i, n_rounds=4 + i) for i in range(12)]
+        result = _run(specs, jobs=4)
+        assert result.results == [_reference(s) for s in specs]
 
     def test_worker_exception_propagates(self):
-        with pytest.raises(RuntimeError, match="worker failure"):
-            run_tasks([Task(_boom)], jobs=2)
-        with pytest.raises(RuntimeError, match="worker failure"):
-            run_tasks([Task(_boom)], jobs=1)
+        for jobs in (2, 1):
+            with pytest.raises(CampaignFailedError,
+                               match="ValueError: .*no.such.reducer"):
+                _run([_boom()], jobs=jobs).raise_first_error()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_collect_mode_keeps_sibling_results(self, jobs):
-        tasks = [Task(_square, (1,)), Task(_boom), Task(_square, (3,))]
-        results = run_tasks(tasks, jobs=jobs, on_error="collect")
-        assert results[0] == 1 and results[2] == 9
+        specs = [_spec(seed=1), _boom(), _spec(seed=3)]
+        results = _run(specs, jobs=jobs).results
+        assert results[0] == _reference(specs[0])
+        assert results[2] == _reference(specs[2])
         error = results[1]
         assert isinstance(error, TaskError)
         assert error.index == 1
-        assert error.error_type == "RuntimeError"
-        assert error.message == "worker failure"
+        assert error.error_type == "ValueError"
+        assert "no.such.reducer" in error.message
         assert not error.timed_out
-        assert "RuntimeError" in error.traceback
+        assert "ValueError" in error.traceback
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_collect_mode_all_failures(self, jobs):
-        results = run_tasks([Task(_boom), Task(_boom)], jobs=jobs,
-                            on_error="collect")
+        results = _run([_boom(), _boom("other.missing")], jobs=jobs).results
         assert all(isinstance(r, TaskError) for r in results)
         assert [r.index for r in results] == [0, 1]
 
     def test_raise_mode_raises_first_error_in_task_order(self):
-        tasks = [Task(_square, (1,)), Task(_boom), Task(_square, (2,))]
-        with pytest.raises(RuntimeError, match="worker failure"):
-            run_tasks(tasks, jobs=2)
-
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            run_tasks([], on_error="ignore")
-
-    def test_derived_seeds_stable_and_distinct(self):
-        seeds = derive_task_seeds(0, "burst", 8)
-        assert seeds == derive_task_seeds(0, "burst", 8)
-        assert len(set(seeds)) == len(seeds)
-        assert derive_task_seeds(0, "clique", 8) != seeds
-        assert derive_task_seeds(1, "burst", 8) != seeds
-        with pytest.raises(ValueError):
-            derive_task_seeds(0, "burst", -1)
+        specs = [_spec(seed=1), _boom("first.missing"),
+                 _boom("second.missing")]
+        with pytest.raises(CampaignFailedError,
+                           match=r"first: task 1 \[task-1\].*first\.missing"):
+            _run(specs, jobs=2).raise_first_error()
 
 
 class TestValidationSweep:
     def test_task_grid_matches_campaign_shape(self):
-        tasks = validation_tasks(repetitions=1, n_nodes=4)
-        classes = [cls for cls, _task in tasks]
+        tasks = validation_campaign(repetitions=1, n_nodes=4).labeled_specs
+        classes = [cls for cls, _ in tasks]
         # 12 burst classes + penalty-reward + 4 malicious + clique = 18.
         assert len(set(classes)) == 18
         assert len(tasks) == 18

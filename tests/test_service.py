@@ -104,6 +104,9 @@ class TestParseJobRequest:
         ("just a string", "JSON object or an array"),
         ({"spec": {"schema": "bad"}}, "spec #0"),
         (dict(_spec().to_dict(), backend="quantum"), "unknown backend"),
+        (dict(_spec().to_dict(),
+              protocol=dict(_spec().to_dict()["protocol"],
+                            startup_rounds=-3)), "startup_rounds"),
     ])
     def test_bad_requests_are_client_errors(self, body, needle):
         with pytest.raises(BadRequestError, match=needle):

@@ -19,6 +19,7 @@ from repro.analysis.metrics import (
     correctness_holds,
     diagnoses_for_round,
 )
+from repro.campaign import run_campaign, validation_campaign
 from repro.core.config import uniform_config
 from repro.core.service import DiagnosedCluster, MembershipCluster
 from repro.experiments.validation import (
@@ -36,8 +37,7 @@ from repro.experiments.validation import (
 from repro.experiments.table2 import measure_penalty_budget
 from repro.faults.scenarios import BusBurst, SenderFault, SlotBurst, every_nth_round
 from repro.obs import MetricsRegistry, render_json
-from repro.runner.sweep import run_validation_sweep, validation_tasks
-from repro.runner.pool import run_tasks
+from repro.runner.sweep import run_validation_sweep
 from repro.spec import strip_provenance
 from repro.tt.cluster import PAPER_ROUND_LENGTH
 
@@ -254,11 +254,9 @@ def test_sweep_metrics_byte_identical_across_jobs():
     from repro.obs import merge_snapshots
 
     def merged(jobs: int):
-        tasks = validation_tasks(repetitions=1, collect_metrics=True)
-        outcomes = run_tasks([task for _cls, task in tasks], jobs=jobs)
-        results = [result for result, _snap in outcomes]
-        snapshot = merge_snapshots([snap for _result, snap in outcomes])
-        return results, snapshot
+        result = run_campaign(
+            validation_campaign(repetitions=1).labeled_specs, jobs=jobs)
+        return result.results, merge_snapshots(result.snapshots)
 
     serial_results, serial_snapshot = merged(jobs=1)
     parallel_results, parallel_snapshot = merged(jobs=4)

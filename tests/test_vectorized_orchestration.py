@@ -201,10 +201,35 @@ def test_run_cli_backends_print_identical_results(tmp_path, capsys):
 
 
 @needs_numpy
+def test_run_cli_batches_vectorized_replicates(tmp_path, capsys,
+                                               monkeypatch):
+    # `run` dispatches through the campaign engine, so a replicate
+    # list costs one kernel batch, not one task per spec.
+    import repro.campaign.engine as engine
+
+    calls = []
+    batch = engine.execute_batch_task
+
+    def counting(spec_dict, seeds, timeout=None):
+        calls.append(list(seeds))
+        return batch(spec_dict, seeds, timeout=timeout)
+
+    monkeypatch.setattr(engine, "execute_batch_task", counting)
+    path = tmp_path / "replicates.json"
+    path.write_text(json.dumps([s.to_dict()
+                                for s in monte_carlo_specs(_spec(), 4)]))
+    assert main(["run", str(path), "--backend", "vectorized"]) == 0
+    assert calls == [[0, 1, 2, 3]]
+    assert "4 run(s)" in capsys.readouterr().out
+
+
+@needs_numpy
 def test_run_cli_unsupported_spec_exits_2(tmp_path, capsys):
     bad = _spec().to_dict()
     bad["cluster"]["n_channels"] = 2
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(bad))
     assert main(["run", str(path), "--backend", "vectorized"]) == 2
-    assert "single-channel" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnsupportedSpecError: ")
+    assert "single-channel" in err
