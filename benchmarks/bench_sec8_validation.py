@@ -14,20 +14,24 @@ import os
 from conftest import emit
 
 from repro.analysis.reporting import render_table
-from repro.runner.sweep import run_validation_sweep
+from repro.campaign import run_campaign, validation_campaign
 
 REPETITIONS = 3
-#: Worker processes for the sweep; the aggregate result is identical
-#: for any value (the sweep merges verdicts in task order).
+#: Worker processes for the campaign; the aggregate result is identical
+#: for any value (the engine merges verdicts in task order).
 JOBS = min(4, os.cpu_count() or 1)
 
 
-def run_campaign():
-    return run_validation_sweep(repetitions=REPETITIONS, jobs=JOBS)
+def run_validation():
+    definition = validation_campaign(repetitions=REPETITIONS)
+    result = run_campaign(definition.labeled_specs, name=definition.name,
+                          jobs=JOBS)
+    result.raise_first_error()
+    return definition.aggregate(result.results)
 
 
 def test_sec8_validation_campaign(benchmark):
-    summary = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+    summary = benchmark.pedantic(run_validation, rounds=1, iterations=1)
     rates = summary.pass_rates()
     rows = [(cls, len(summary.results[cls]), f"{100 * rates[cls]:.0f}%")
             for cls in sorted(summary.results)]

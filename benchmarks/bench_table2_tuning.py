@@ -15,9 +15,9 @@ import os
 from conftest import emit
 
 from repro.analysis.reporting import render_table
+from repro.campaign import run_campaign, table2_campaign
 from repro.core.config import CriticalityClass
 from repro.experiments.table2 import PAPER_TABLE2
-from repro.runner.sweep import run_table2_sweep
 
 C = CriticalityClass
 
@@ -42,7 +42,11 @@ JOBS = min(4, os.cpu_count() or 1)
 
 
 def run_tuning():
-    return run_table2_sweep(seed=0, jobs=JOBS)
+    definition = table2_campaign(seed=0)
+    result = run_campaign(definition.labeled_specs, name=definition.name,
+                          jobs=JOBS)
+    result.raise_first_error()
+    return definition.aggregate(result.results)
 
 
 def test_table2_tuning(benchmark):

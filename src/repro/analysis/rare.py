@@ -18,9 +18,10 @@ tail.  This module provides the estimators and the drivers:
   (1 - p_i) / (n_i p_i)``), the standard tool when the target event is
   too rare for direct sampling;
 * :func:`isolation_probability` / :func:`isolation_curve` — drivers
-  running seed-shifted replicates through
-  :func:`repro.runner.sweep.run_monte_carlo_sweep` (store-cacheable,
-  pool- and kernel-batch friendly) and reducing each replicate with the
+  running seed-shifted replicates
+  (:func:`repro.campaign.monte_carlo_specs`) through
+  :func:`repro.campaign.run_campaign` (store-cacheable, pool- and
+  kernel-batch friendly) and reducing each replicate with the
   :class:`IsolationReducer` registered here under the name
   ``"isolation"``.
 
@@ -31,7 +32,7 @@ exactly reproducible and cache-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..spec.reducers import register_reducer
@@ -218,16 +219,20 @@ def isolation_probability(spec: Any, replicates: int,
     ``target_node`` counts isolation of that node only; ``None`` counts
     a run as a success if *any* node is isolated (the false-alarm
     definition for an all-healthy cluster).  Replicates run through
-    :func:`~repro.runner.sweep.run_monte_carlo_sweep`, so a result
-    store caches them by content address and the vectorized backend
-    simulates all cache misses as one kernel batch.
+    :func:`~repro.campaign.run_campaign`, so a result store caches them
+    by content address and the vectorized backend simulates all cache
+    misses as one kernel batch.
     """
-    from ..runner.sweep import run_monte_carlo_sweep
+    from ..campaign import monte_carlo_specs, run_campaign
 
-    results = run_monte_carlo_sweep(spec, replicates, jobs=jobs,
-                                    store=store, reducer="isolation")
-    return estimate_probability(_count_isolations(results, target_node),
-                                replicates, z=z)
+    specs = monte_carlo_specs(replace(spec, reducer="isolation"),
+                              replicates)
+    result = run_campaign(
+        [(f"replicate-{i}", replicate) for i, replicate in enumerate(specs)],
+        name="monte-carlo", store=store, jobs=jobs)
+    result.raise_first_error()
+    return estimate_probability(
+        _count_isolations(result.results, target_node), replicates, z=z)
 
 
 def isolation_curve(points: Sequence[Tuple[Any, Any]], replicates: int,

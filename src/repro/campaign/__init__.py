@@ -19,24 +19,28 @@ a production-grade campaign run::
 * :mod:`repro.campaign.state` — the atomic checkpoint state file
   behind ``--resume`` and ``campaign status``;
 * :mod:`repro.campaign.definitions` — the paper's sweeps as named
-  campaign definitions, plus the deterministic result document.
+  campaign definitions, the front door the CLI and ``POST /v1/jobs``
+  share (named-campaign registry, RunSpec list parser, backend
+  override), plus the deterministic result document.
 
 The CLI surface is ``repro-diag campaign run|status|gc``.
 """
 
 from .definitions import (
+    CAMPAIGN_KNOBS,
     CAMPAIGN_RESULT_SCHEMA,
     COMPATIBLE_RESULT_SCHEMAS,
     NAMED_CAMPAIGNS,
     RARE_EVENT_RATES,
     CampaignDefinition,
     build_campaign,
-    definition_for_params,
+    monte_carlo_specs,
     rare_events_campaign,
     result_document,
-    spec_file_campaign,
+    specs_campaign,
     table2_campaign,
     validation_campaign,
+    with_backend,
 )
 from .engine import (
     CampaignFailedError,
@@ -51,6 +55,7 @@ from .engine import (
 from .state import CampaignState, campaign_id, load_all_states
 
 __all__ = [
+    "CAMPAIGN_KNOBS",
     "CAMPAIGN_RESULT_SCHEMA",
     "COMPATIBLE_RESULT_SCHEMAS",
     "NAMED_CAMPAIGNS",
@@ -63,7 +68,7 @@ __all__ = [
     "RARE_EVENT_RATES",
     "TaskTimeout",
     "build_campaign",
-    "definition_for_params",
+    "monte_carlo_specs",
     "rare_events_campaign",
     "campaign_id",
     "campaign_tasks",
@@ -71,7 +76,8 @@ __all__ = [
     "load_all_states",
     "result_document",
     "run_campaign",
-    "spec_file_campaign",
+    "specs_campaign",
     "table2_campaign",
     "validation_campaign",
+    "with_backend",
 ]

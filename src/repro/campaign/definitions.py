@@ -3,9 +3,21 @@
 A :class:`CampaignDefinition` bundles what the engine needs (ordered,
 labelled specs), what reports need (the semantic parameters), and what
 humans need (an ``aggregate`` over task-order results plus a ``render``
-to text).  The pre-built sweeps in :mod:`repro.runner.sweep` and the
-``repro-diag campaign`` CLI both build these — the enumeration logic
-lives here exactly once.
+to text).
+
+This module is also the campaign front door shared by the CLI
+(``validate``, ``table2``, ``spec``, ``run``, ``campaign run``,
+``results render``) and ``POST /v1/jobs``:
+
+* :func:`build_campaign` — one name -> builder table, fed either the
+  CLI / HTTP knobs (:data:`CAMPAIGN_KNOBS`) or a result document's
+  ``params``;
+* :func:`specs_campaign` — the one parser for RunSpec JSON lists;
+* :func:`with_backend` — the one ``--backend`` / ``"backend"`` override.
+
+Each raises :class:`ValueError` with a client-facing message on bad
+input, including a request that enumerates no tasks; the CLI reports
+it as exit 2 and the service as HTTP 400.
 
 :func:`result_document` serializes a finished campaign into the stable
 JSON document the CLI's ``--out`` writes: per-task results through the
@@ -19,13 +31,14 @@ for the checkpoint/resume path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..results.render import render_ascii
 from ..results.tables import Column, SeriesSpec, TableSpec
 from ..runner.backends import TaskError
 from ..spec import RunSpec
+from ..spec.model import BACKENDS
 from ..store.result_store import encode_value
 from .engine import CampaignResult
 
@@ -148,6 +161,13 @@ def table2_campaign(seed: int = 0,
         aggregate=aggregate, tables=(TABLE2_TABLE,))
 
 
+def monte_carlo_specs(spec: RunSpec, replicates: int) -> List[RunSpec]:
+    """Seed-shifted replicate specs ``seed, seed + 1, ...`` of one spec."""
+    base_seed = spec.cluster.seed
+    return [replace(spec, cluster=replace(spec.cluster, seed=base_seed + i))
+            for i in range(replicates)]
+
+
 #: Gilbert-Elliott good->bad rates swept by the rare-events campaign.
 RARE_EVENT_RATES = (0.02, 0.05, 0.1)
 
@@ -199,18 +219,19 @@ def rare_events_campaign(replicates: int = 5, n_nodes: int = 4,
         criticalities=(1,) * n_nodes)
     labeled: List[Tuple[str, RunSpec]] = []
     for rate in RARE_EVENT_RATES:
-        for i in range(replicates):
-            spec = RunSpec(
-                protocol=protocol,
-                cluster=ClusterSpec(seed=seed + i, trace_level=1),
-                scenarios=(ScenarioSpec("GilbertElliottChannel", {
-                    "p_gb": rate, "p_bg": 0.5,
-                    "error_good": 0.0, "error_bad": 1.0,
-                    "rng_stream": "rare-ge"}),),
-                n_rounds=20,
-                reducer="isolation",
-            )
-            labeled.append((f"p_gb={rate}:replicate-{i}", spec))
+        spec = RunSpec(
+            protocol=protocol,
+            cluster=ClusterSpec(seed=seed, trace_level=1),
+            scenarios=(ScenarioSpec("GilbertElliottChannel", {
+                "p_gb": rate, "p_bg": 0.5,
+                "error_good": 0.0, "error_bad": 1.0,
+                "rng_stream": "rare-ge"}),),
+            n_rounds=20,
+            reducer="isolation",
+        )
+        labeled.extend((f"p_gb={rate}:replicate-{i}", replicate)
+                       for i, replicate in
+                       enumerate(monte_carlo_specs(spec, replicates)))
 
     def aggregate(results: List[Any]
                   ) -> List[Tuple[float, "MonteCarloEstimate"]]:
@@ -228,15 +249,27 @@ def rare_events_campaign(replicates: int = 5, n_nodes: int = 4,
         series=(RARE_EVENTS_SERIES,))
 
 
-def spec_file_campaign(path: str, text: str) -> CampaignDefinition:
-    """An ad-hoc campaign from a RunSpec JSON file (object or array)."""
-    import json
+def specs_campaign(data: Any) -> CampaignDefinition:
+    """An ad-hoc campaign from RunSpec JSON: one object or an array.
 
-    data = json.loads(text)
+    This is the one parser behind ``repro-diag run FILE``, ``campaign
+    run FILE`` and the spec shapes of ``POST /v1/jobs``.  Tasks are
+    labelled by spec digest.  Raises :class:`ValueError` on an empty
+    list and names the first malformed entry (``spec #i: ...``).
+    """
     spec_dicts = data if isinstance(data, list) else [data]
+    if not spec_dicts:
+        raise ValueError("submission contains no specs")
     labeled = []
-    for spec_dict in spec_dicts:
-        spec = RunSpec.from_dict(spec_dict)
+    for index, spec_dict in enumerate(spec_dicts):
+        if not isinstance(spec_dict, dict):
+            raise ValueError(
+                f"spec #{index} must be a JSON object, got "
+                f"{type(spec_dict).__name__}")
+        try:
+            spec = RunSpec.from_dict(spec_dict)
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"spec #{index}: {exc}") from exc
         labeled.append((spec.digest(), spec))
 
     def aggregate(results: List[Any]) -> List[Any]:
@@ -248,46 +281,72 @@ def spec_file_campaign(path: str, text: str) -> CampaignDefinition:
         aggregate=aggregate)
 
 
-#: Campaigns addressable by name from the CLI.
-NAMED_CAMPAIGNS = ("validate", "table2", "rare-events")
+#: The knobs a named campaign is built from on the CLI and in
+#: ``POST /v1/jobs``, with their shared defaults.
+CAMPAIGN_KNOBS = {"reps": 5, "nodes": 4, "seed": 0}
+
+#: Named campaigns: name -> builder over the campaign's ``params`` (the
+#: keys :func:`result_document` writes); other knobs are ignored.
+_BUILDERS: Dict[str, Callable[..., CampaignDefinition]] = {
+    "validate": lambda reps, nodes, **_: validation_campaign(reps, nodes),
+    "table2": lambda seed, round_length=None, **_: table2_campaign(
+        seed, round_length),
+    "rare-events": lambda reps, nodes, seed, **_: rare_events_campaign(
+        reps, nodes, seed),
+}
+
+#: Campaigns addressable by name from the CLI and the service.
+NAMED_CAMPAIGNS = tuple(_BUILDERS)
 
 
-def build_campaign(name: str, reps: int = 5, nodes: int = 4,
-                   seed: int = 0) -> CampaignDefinition:
-    """Build a named campaign with its CLI-facing knobs."""
-    if name == "validate":
-        return validation_campaign(repetitions=reps, n_nodes=nodes)
-    if name == "table2":
-        return table2_campaign(seed=seed)
-    if name == "rare-events":
-        return rare_events_campaign(replicates=reps, n_nodes=nodes,
-                                    seed=seed)
-    raise ValueError(
-        f"unknown campaign {name!r}; named campaigns: {NAMED_CAMPAIGNS}")
+def build_campaign(name: str, /, **params: Any) -> CampaignDefinition:
+    """Build a named campaign from knobs or a document's ``params``.
 
-
-def definition_for_params(name: str,
-                          params: Dict[str, Any]) -> CampaignDefinition:
-    """Rebuild a named campaign from a result document's ``params``.
-
-    This is the results pipeline's compat path for ``/1`` documents
-    (and the digest-keyed diff's source of per-label specs): the params
-    dict is exactly what :func:`result_document` wrote, so the rebuilt
-    definition enumerates the same labels in the same order.
+    ``params`` are CLI / ``POST /v1/jobs`` knobs (missing ones take
+    their :data:`CAMPAIGN_KNOBS` defaults) or the ``params`` of a
+    result document, which rebuild the same labels in the same order —
+    the results pipeline's compat path for ``/1`` documents and the
+    digest-keyed diff's source of per-label specs.  Raises
+    :class:`ValueError` for an unknown name, a non-integer knob, a
+    value the protocol rejects, or a campaign with no tasks.
     """
-    if name == "validate":
-        return validation_campaign(repetitions=params["reps"],
-                                   n_nodes=params["nodes"])
-    if name == "table2":
-        return table2_campaign(seed=params["seed"],
-                               round_length=params["round_length"])
-    if name == "rare-events":
-        return rare_events_campaign(replicates=params["reps"],
-                                    n_nodes=params["nodes"],
-                                    seed=params["seed"])
-    raise ValueError(
-        f"cannot rebuild campaign {name!r} from params; "
-        f"named campaigns: {NAMED_CAMPAIGNS}")
+    if name not in NAMED_CAMPAIGNS:
+        raise ValueError(
+            f"unknown campaign {name!r}; named campaigns: "
+            f"{NAMED_CAMPAIGNS}")
+    params = dict(CAMPAIGN_KNOBS, **params)
+    for key in CAMPAIGN_KNOBS:
+        if not isinstance(params[key], int) or isinstance(params[key], bool):
+            raise ValueError(f"{key!r} must be an integer")
+    definition = _BUILDERS[name](**params)
+    if not definition.labeled_specs:
+        raise ValueError(
+            f"campaign {name!r} with {definition.params} has no tasks")
+    return definition
+
+
+def with_backend(definition: CampaignDefinition,
+                 backend: Optional[str]) -> CampaignDefinition:
+    """Force ``backend`` onto every spec (``None`` keeps each spec's own).
+
+    Raises :class:`ValueError` for an unknown backend, and for
+    ``vectorized`` without numpy — reported before any dispatch.
+    """
+    if backend is None:
+        return definition
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; backends: "
+                         f"{', '.join(BACKENDS)}")
+    if backend == "vectorized":
+        from ..vec import BackendUnavailableError, require_numpy
+
+        try:
+            require_numpy()
+        except BackendUnavailableError as exc:
+            raise ValueError(str(exc)) from exc
+    return replace(definition, labeled_specs=[
+        (label, replace(spec, backend=backend))
+        for label, spec in definition.labeled_specs])
 
 
 def result_document(definition: CampaignDefinition,
@@ -331,6 +390,7 @@ def result_document(definition: CampaignDefinition,
 
 
 __all__ = [
+    "CAMPAIGN_KNOBS",
     "CAMPAIGN_RESULT_SCHEMA",
     "COMPATIBLE_RESULT_SCHEMAS",
     "NAMED_CAMPAIGNS",
@@ -339,10 +399,11 @@ __all__ = [
     "RARE_EVENT_RATES",
     "CampaignDefinition",
     "build_campaign",
-    "definition_for_params",
+    "monte_carlo_specs",
     "rare_events_campaign",
     "result_document",
-    "spec_file_campaign",
+    "specs_campaign",
     "table2_campaign",
     "validation_campaign",
+    "with_backend",
 ]

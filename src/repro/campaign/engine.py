@@ -274,8 +274,8 @@ def run_campaign(specs: SpecsInput,
     """Run a campaign store-first with streaming commits and retries.
 
     Without a ``store`` this degrades to a deterministic retrying sweep
-    (no persistence, no state file) — the mode the thin
-    :mod:`repro.runner.sweep` wrappers use.  With one, every completed
+    (no persistence, no state file) — the mode ``repro-diag validate``,
+    ``table2`` and ``run`` use.  With one, every completed
     task is committed and checkpointed as it finishes, so a SIGKILL
     loses at most the in-flight tasks; ``resume=True`` is required to
     continue a campaign whose state file says it never finished (so an

@@ -69,41 +69,33 @@ def _write_metrics_report(path: str, command: str, params: dict,
     print(f"metrics report written to {path}")
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from .experiments.validation import VALIDATION_TABLE
-    from .results.render import render_ascii
-    from .runner.sweep import run_validation_sweep
+def _error(exc: Exception) -> int:
+    """Report bad input on stderr; exit status 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
+
+def _cmd_named_campaign(args: argparse.Namespace) -> int:
+    """``validate`` / ``table2``: the named campaign, run without a store."""
+    from .campaign import CAMPAIGN_KNOBS, build_campaign, run_campaign
+
+    # The verb's own flags among the campaign knobs; they are also the
+    # report's params (semantic only, never --jobs).
+    knobs = {key: getattr(args, key) for key in CAMPAIGN_KNOBS
+             if hasattr(args, key)}
+    try:
+        definition = build_campaign(args.command, **knobs)
+    except ValueError as exc:
+        return _error(exc)
+    result = run_campaign(definition.labeled_specs, name=definition.name,
+                          jobs=args.jobs)
+    result.raise_first_error()
+    value = definition.aggregate(result.results)
+    print(definition.render(value))
     if args.metrics_out:
-        summary, snapshot = run_validation_sweep(
-            repetitions=args.reps, jobs=args.jobs, with_metrics=True)
-    else:
-        summary = run_validation_sweep(repetitions=args.reps, jobs=args.jobs)
-    print(render_ascii(VALIDATION_TABLE.build(summary)))
-    if args.metrics_out:
-        _write_metrics_report(args.metrics_out, "validate",
-                              {"reps": args.reps}, snapshot)
-    return 0 if summary.all_passed else 1
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from .runner.sweep import run_table2_sweep
-
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        table_rows, snapshot = run_table2_sweep(
-            seed=args.seed, jobs=getattr(args, "jobs", 1), with_metrics=True)
-    else:
-        table_rows = run_table2_sweep(seed=args.seed,
-                                      jobs=getattr(args, "jobs", 1))
-    from .experiments.table2 import TABLE2_TABLE
-    from .results.render import render_ascii
-
-    print(render_ascii(TABLE2_TABLE.build(table_rows)))
-    if metrics_out:
-        _write_metrics_report(metrics_out, "table2",
-                              {"seed": args.seed}, snapshot)
-    return 0
+        _write_metrics_report(args.metrics_out, args.command, knobs,
+                              result.merged_snapshot())
+    return 0 if getattr(value, "all_passed", True) else 1
 
 
 def _cmd_table4(args: argparse.Namespace) -> int:
@@ -278,26 +270,15 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     if args.experiment == "demo":
         sys.stdout.write(_demo_spec(args.seed).to_json())
         return 0
-    if args.experiment == "validate":
-        from .experiments.validation import validation_specs
+    from .campaign import build_campaign
 
-        spec_dicts = [spec.to_dict()
-                      for _cls, spec in validation_specs(args.reps,
-                                                         args.nodes)]
-    else:
-        from .core.config import (
-            AEROSPACE_TOLERATED_OUTAGE,
-            AUTOMOTIVE_TOLERATED_OUTAGE,
-        )
-        from .experiments.table2 import penalty_budget_spec
-
-        spec_dicts = [
-            penalty_budget_spec(outage, seed=args.seed).to_dict()
-            for outages in (AUTOMOTIVE_TOLERATED_OUTAGE,
-                            AEROSPACE_TOLERATED_OUTAGE)
-            for outage in outages.values()
-        ]
-    print(json.dumps(spec_dicts, indent=2, sort_keys=True))
+    try:
+        definition = build_campaign(args.experiment, reps=args.reps,
+                                    nodes=args.nodes, seed=args.seed)
+    except ValueError as exc:
+        return _error(exc)
+    print(json.dumps([spec.to_dict() for _label, spec
+                      in definition.labeled_specs], indent=2, sort_keys=True))
     return 0
 
 
@@ -309,53 +290,34 @@ def _result_passed(result) -> Optional[bool]:
     return passed
 
 
-def _apply_backend(labeled_specs: list, backend: Optional[str]):
-    """Force ``backend`` onto every ``(label, spec)`` pair.
+def _read_spec_file(path: str):
+    """The ad-hoc campaign of a RunSpec JSON file (``-`` = stdin)."""
+    from .campaign import specs_campaign
 
-    Returns the new pairs, or ``None`` (the caller exits 2) when the
-    vectorized backend is requested without numpy installed: that is
-    reported here, before any dispatch, as a clean actionable message.
-    """
-    if not backend:
-        return labeled_specs
-    if backend == "vectorized":
-        from .vec import BackendUnavailableError, require_numpy
-
-        try:
-            require_numpy()
-        except BackendUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None
-    from dataclasses import replace
-
-    return [(label, replace(spec, backend=backend))
-            for label, spec in labeled_specs]
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    return specs_campaign(data)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .campaign import run_campaign
-    from .spec import RunSpec
+    from .campaign import run_campaign, with_backend
 
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    data = json.loads(text)
     try:
-        specs = [RunSpec.from_dict(spec_dict)
-                 for spec_dict in (data if isinstance(data, list) else [data])]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    labeled = _apply_backend([(f"spec #{index}", spec)
-                              for index, spec in enumerate(specs)],
-                             args.backend)
-    if labeled is None:
-        return 2
+        definition = with_backend(_read_spec_file(args.path),
+                                  args.backend)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     # No store and no retries: a failing spec (e.g. UnsupportedSpecError,
     # a feature only the event engine models) is reported at once.
-    result = run_campaign(labeled, jobs=args.jobs, retries=0)
+    result = run_campaign(definition.labeled_specs, jobs=args.jobs,
+                          retries=0)
     if result.errors:
         error = result.errors[0]
         print(f"error: {error.error_type}: {error.message}",
@@ -370,8 +332,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scored = sum(1 for v in verdicts if v is not None)
     print(f"{len(result.results)} run(s), {scored} scored, {failed} failed")
     if args.metrics_out:
-        _write_metrics_report(args.metrics_out, "run",
-                              {"specs": len(specs)},
+        _write_metrics_report(args.metrics_out, "run", definition.params,
                               result.merged_snapshot())
     return 1 if failed else 0
 
@@ -387,7 +348,6 @@ def _open_store(args, metrics):
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     import os
-    from dataclasses import replace
 
     from .campaign import (
         NAMED_CAMPAIGNS,
@@ -395,30 +355,22 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         build_campaign,
         result_document,
         run_campaign,
-        spec_file_campaign,
+        with_backend,
     )
     from .obs import MetricsRegistry, render_text
 
-    if args.source in NAMED_CAMPAIGNS:
-        definition = build_campaign(args.source, reps=args.reps,
-                                    nodes=args.nodes, seed=args.seed)
-    elif os.path.isfile(args.source) or args.source == "-":
-        text = (sys.stdin.read() if args.source == "-" else
-                open(args.source, "r", encoding="utf-8").read())
-        try:
-            definition = spec_file_campaign(args.source, text)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print(f"error: {args.source!r} is neither a named campaign "
-              f"{NAMED_CAMPAIGNS} nor a spec file", file=sys.stderr)
-        return 2
-
-    labeled = _apply_backend(definition.labeled_specs, args.backend)
-    if labeled is None:
-        return 2
-    definition = replace(definition, labeled_specs=labeled)
+    try:
+        if args.source in NAMED_CAMPAIGNS:
+            definition = build_campaign(args.source, reps=args.reps,
+                                        nodes=args.nodes, seed=args.seed)
+        elif os.path.isfile(args.source) or args.source == "-":
+            definition = _read_spec_file(args.source)
+        else:
+            raise ValueError(f"{args.source!r} is neither a named campaign "
+                             f"{NAMED_CAMPAIGNS} nor a spec file")
+        definition = with_backend(definition, args.backend)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
 
     engine_metrics = MetricsRegistry()
     store = _open_store(args, engine_metrics)
@@ -544,8 +496,7 @@ def _cmd_results_render(args: argparse.Namespace) -> int:
             doc = source.load_document(args.source)
             text = _render_document(doc, fmt, select, args.store)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -586,8 +537,7 @@ def _cmd_results_diff(args: argparse.Namespace) -> int:
         doc_a = source.load_document(args.a)
         doc_b = source.load_document(args.b)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     diff = diff_documents(doc_a, doc_b)
     store = None
     if args.store:
@@ -608,12 +558,11 @@ def _cmd_results_plot(args: argparse.Namespace) -> int:
     from .results.plots import PlotUnavailableError, require_matplotlib
 
     try:
-        # Gate before any document work, mirroring _apply_backend's
-        # numpy check: missing matplotlib is a clean exit 2.
+        # Gate before any document work, mirroring the numpy check of
+        # --backend vectorized: missing matplotlib is a clean exit 2.
         require_matplotlib()
     except PlotUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     from .results import source
     from .results.plots import emit_plots
 
@@ -631,8 +580,7 @@ def _cmd_results_plot(args: argparse.Namespace) -> int:
                 return 2
         paths = emit_plots(series, args.out_dir, fmt=args.format)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     for path in paths:
         print(f"plot written to {path}")
     return 0
@@ -649,8 +597,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # install hint when the `service` extra is missing.
             require_uvicorn()
         except ServiceUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
     manager = JobManager(
         store_root=args.store,
         workers=args.workers,
@@ -709,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", metavar="PATH", default=None,
                    help="write a deterministic JSON metrics report "
                         "(byte-identical across runs and --jobs values)")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_named_campaign)
 
     p = sub.add_parser("stats", help="run a metered cluster and print the "
                                      "online metrics report")
@@ -914,7 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     for name, func, help_text in (
-            ("table2", _cmd_table2, "reproduce Table 2 (p/r tuning)"),
+            ("table2", _cmd_named_campaign,
+             "reproduce Table 2 (p/r tuning)"),
             ("table4", _cmd_table4, "reproduce Table 4 (time to isolation)"),
             ("figure3", _cmd_figure3, "reproduce Fig. 3 (reward tradeoff)"),
             ("portability", _cmd_portability,

@@ -78,7 +78,6 @@ from .table2 import (
     Table2Row,
     analytic_cross_check,
     measure_penalty_budget,
-    table2,
 )
 from .validation import (
     FAULT_ROUND,
@@ -94,7 +93,6 @@ from .validation import (
     run_clique_experiment,
     run_malicious_experiment,
     run_penalty_reward_experiment,
-    run_validation_campaign,
 )
 
 __all__ = [
@@ -152,7 +150,6 @@ __all__ = [
     "Table2Row",
     "analytic_cross_check",
     "measure_penalty_budget",
-    "table2",
     "FAULT_ROUND",
     "PAPER_N_NODES",
     "BurstResult",
@@ -165,5 +162,4 @@ __all__ = [
     "run_clique_experiment",
     "run_malicious_experiment",
     "run_penalty_reward_experiment",
-    "run_validation_campaign",
 ]

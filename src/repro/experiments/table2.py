@@ -11,15 +11,16 @@ The paper's procedure (Sec. 9, "Tuning the diagnostic latency"):
 :func:`measure_penalty_budget` performs step 1-2 on the actual
 simulated cluster (not analytically): it runs a cluster under a
 continuous bus burst and reads the penalty counter at the deadline.
-:func:`table2` assembles the full table for both domains and
-cross-checks it against the closed-form derivation in
-:mod:`repro.analysis.tuning`.
+:func:`repro.campaign.table2_campaign` runs one such measurement per
+(domain, class) and assembles the full table (step 3);
+:func:`analytic_cross_check` gives the closed-form derivation in
+:mod:`repro.analysis.tuning` to compare it with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..analysis.tuning import TuningResult, tune
 from ..core.config import (
@@ -154,34 +155,6 @@ TABLE2_TABLE = TableSpec(
 )
 
 
-def table2(seed: int = 0,
-           round_length: float = PAPER_ROUND_LENGTH) -> List[Table2Row]:
-    """Run the tuning experiment for both domains and assemble Table 2."""
-    import math
-
-    rows: List[Table2Row] = []
-    for domain, outages in (("Automotive", AUTOMOTIVE_TOLERATED_OUTAGE),
-                            ("Aerospace", AEROSPACE_TOLERATED_OUTAGE)):
-        budgets = {
-            cls: measure_penalty_budget(outage, seed=seed,
-                                        round_length=round_length)
-            for cls, outage in outages.items()
-        }
-        penalty_threshold = max(budgets.values())
-        for cls, outage in outages.items():
-            rows.append(Table2Row(
-                domain=domain,
-                criticality_class=cls,
-                tolerated_outage=outage,
-                measured_budget=budgets[cls],
-                criticality=math.ceil(penalty_threshold / budgets[cls]),
-                penalty_threshold=penalty_threshold,
-                reward_threshold=PAPER_REWARD_THRESHOLD,
-                round_length=round_length,
-            ))
-    return rows
-
-
 def analytic_cross_check(round_length: float = PAPER_ROUND_LENGTH
                          ) -> Tuple[TuningResult, TuningResult]:
     """The closed-form derivation, for comparison with the measurement."""
@@ -196,6 +169,5 @@ __all__ = [
     "PenaltyBudgetReducer",
     "penalty_budget_spec",
     "measure_penalty_budget",
-    "table2",
     "analytic_cross_check",
 ]

@@ -21,9 +21,9 @@ registered here, and the ``run_*`` functions simply
 :func:`~repro.spec.execute` them.  The reducers score the finished
 cluster against the paper's properties (correctness, completeness,
 consistency; counter behaviour; view changes).
-:func:`run_validation_campaign` reproduces the whole campaign;
-:func:`validation_specs` enumerates it as serializable specs for the
-parallel runner.
+:func:`validation_specs` enumerates the whole campaign as serializable
+specs; :func:`repro.campaign.validation_campaign` runs it through the
+campaign engine (``repro-diag validate``).
 """
 
 from __future__ import annotations
@@ -478,21 +478,6 @@ def validation_specs(repetitions: int = 100,
     return specs
 
 
-def run_validation_campaign(repetitions: int = 100,
-                            n_nodes: int = PAPER_N_NODES) -> CampaignSummary:
-    """The full Sec. 8 campaign.
-
-    With the paper's ``repetitions = 100`` this is 1500+ injections
-    (12 burst classes + counter update + 4 malicious classes + clique
-    detection, ``repetitions`` each).  The simulator is deterministic
-    per seed, so the repetitions vary the seed.
-    """
-    summary = CampaignSummary()
-    for cls, spec in validation_specs(repetitions, n_nodes):
-        summary.add(cls, execute(spec).passed)
-    return summary
-
-
 __all__ = [
     "PAPER_N_NODES",
     "FAULT_ROUND",
@@ -515,5 +500,4 @@ __all__ = [
     "run_penalty_reward_experiment",
     "run_malicious_experiment",
     "run_clique_experiment",
-    "run_validation_campaign",
 ]

@@ -134,9 +134,9 @@ def document_fingerprint(doc: CampaignDocument) -> str:
 
 def rebuild_definition(doc: CampaignDocument):
     """The named campaign definition a document was produced by."""
-    from ..campaign.definitions import definition_for_params
+    from ..campaign.definitions import build_campaign
 
-    return definition_for_params(doc.campaign, doc.params)
+    return build_campaign(doc.campaign, **doc.params)
 
 
 def tables_for_document(doc: CampaignDocument,

@@ -15,14 +15,14 @@ order.
 * :mod:`repro.runner.backends` — streaming dispatch backends for the
   campaign engine: a persistent local pool and a subprocess-per-host
   remote stub with heartbeats (:mod:`repro.runner.heartbeat`), plus
-  the structured :class:`TaskError` a failed task leaves in its slot;
-* :mod:`repro.runner.sweep` — pre-built decompositions of the Sec. 8
-  validation campaign, the Table 2 tuning experiment and Monte Carlo
-  replicate sweeps.
+  the structured :class:`TaskError` a failed task leaves in its slot.
 
-The ``repro-diag validate --jobs N`` / ``run --jobs N`` /
-``campaign run --dispatch`` CLI flags and the campaign benchmarks are
-wired through these, always via :func:`repro.campaign.run_campaign`.
+The campaigns themselves (the Sec. 8 validation campaign, the Table 2
+tuning experiment, Monte Carlo replicates) are named definitions in
+:mod:`repro.campaign.definitions`.  The ``repro-diag validate --jobs
+N`` / ``table2 --jobs N`` / ``run --jobs N`` / ``campaign run
+--dispatch`` CLI flags and the campaign benchmarks reach these
+backends only through :func:`repro.campaign.run_campaign`.
 """
 
 from .backends import (
@@ -36,7 +36,6 @@ from .backends import (
     make_backend,
 )
 from .heartbeat import HeartbeatEmitter, HeartbeatMonitor
-from .sweep import run_table2_sweep, run_validation_sweep
 
 __all__ = [
     "DISPATCH_BACKENDS",
@@ -49,6 +48,4 @@ __all__ = [
     "TaskError",
     "WorkItem",
     "make_backend",
-    "run_table2_sweep",
-    "run_validation_sweep",
 ]

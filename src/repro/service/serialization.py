@@ -1,7 +1,8 @@
 """Job-request parsing: client JSON in, campaign definition + identity out.
 
 ``POST /v1/jobs`` accepts exactly the inputs ``repro-diag campaign
-run`` does, as JSON:
+run`` does, as JSON, and builds them with the same front door
+(:mod:`repro.campaign.definitions`):
 
 * ``{"campaign": "rare-events", "reps": 2, "nodes": 4, "seed": 0}`` —
   a named campaign with its CLI knobs (defaults match the CLI);
@@ -22,20 +23,18 @@ without executing anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..campaign.definitions import (
-    NAMED_CAMPAIGNS,
+    CAMPAIGN_KNOBS,
     CampaignDefinition,
     build_campaign,
+    specs_campaign,
+    with_backend,
 )
 from ..campaign.state import campaign_id
-from ..spec import RunSpec
 from ..store import store_key
-
-#: Keys accepted alongside ``"campaign"`` in a named-campaign request.
-_CAMPAIGN_KNOBS = {"reps": 5, "nodes": 4, "seed": 0}
 
 
 class BadRequestError(ValueError):
@@ -54,64 +53,33 @@ class JobRequest:
     request: Dict[str, Any]
 
 
-def _specs_definition(spec_dicts: List[Any],
-                      name: str = "spec-file") -> CampaignDefinition:
-    if not spec_dicts:
-        raise BadRequestError("submission contains no specs")
-    labeled = []
-    for index, spec_dict in enumerate(spec_dicts):
-        if not isinstance(spec_dict, dict):
-            raise BadRequestError(
-                f"spec #{index} must be a JSON object, got "
-                f"{type(spec_dict).__name__}")
-        try:
-            spec = RunSpec.from_dict(spec_dict)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise BadRequestError(f"spec #{index}: {exc}") from exc
-        labeled.append((spec.digest(), spec))
-    return CampaignDefinition(
-        name=name, labeled_specs=labeled,
-        params={"specs": len(labeled)},
-        aggregate=lambda results: results)
-
-
-def _named_definition(data: Dict[str, Any]) -> CampaignDefinition:
-    name = data["campaign"]
-    if name not in NAMED_CAMPAIGNS:
-        raise BadRequestError(
-            f"unknown campaign {name!r}; named campaigns: "
-            f"{NAMED_CAMPAIGNS}")
-    knobs = {}
-    for key, default in _CAMPAIGN_KNOBS.items():
-        value = data.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise BadRequestError(f"{key!r} must be an integer")
-        knobs[key] = value
-    unknown = set(data) - set(_CAMPAIGN_KNOBS) - {"campaign", "backend"}
-    if unknown:
-        raise BadRequestError(
-            f"unknown field(s) {sorted(unknown)} in a named-campaign "
-            f"submission; accepted: {sorted(_CAMPAIGN_KNOBS)}")
-    return build_campaign(name, **knobs)
-
-
-def _apply_backend(definition: CampaignDefinition,
-                   backend: Any) -> CampaignDefinition:
-    if backend is None:
-        return definition
-    if backend not in ("event", "vectorized"):
-        raise BadRequestError(
-            f"unknown backend {backend!r}; backends: event, vectorized")
-    if backend == "vectorized":
-        from ..vec import BackendUnavailableError, require_numpy
-
-        try:
-            require_numpy()
-        except BackendUnavailableError as exc:
-            raise BadRequestError(str(exc)) from exc
-    return replace(definition, labeled_specs=[
-        (label, replace(spec, backend=backend))
-        for label, spec in definition.labeled_specs])
+def _definition(data: Any) -> CampaignDefinition:
+    """The campaign a submission body names (``ValueError`` if none)."""
+    if isinstance(data, list):
+        return specs_campaign(data)
+    if not isinstance(data, dict):
+        raise ValueError(
+            "submission must be a JSON object or an array of RunSpec "
+            "objects")
+    if "campaign" in data:
+        knobs = {k: v for k, v in data.items()
+                 if k not in ("campaign", "backend")}
+        unknown = set(knobs) - set(CAMPAIGN_KNOBS)
+        if unknown:
+            raise ValueError(
+                f"unknown field(s) {sorted(unknown)} in a named-campaign "
+                f"submission; accepted: {sorted(CAMPAIGN_KNOBS)}")
+        return build_campaign(data["campaign"], **knobs)
+    if "specs" in data:
+        if not isinstance(data["specs"], list):
+            raise ValueError('"specs" must be an array')
+        return specs_campaign(data["specs"])
+    if isinstance(data.get("spec"), dict):
+        # {"spec": {...}} wrapper — NOT a bare RunSpec, whose own
+        # "spec" key is the schema-tag *string*.
+        return specs_campaign(data["spec"])
+    # A bare RunSpec object (the `repro-diag run` input shape).
+    return specs_campaign({k: v for k, v in data.items() if k != "backend"})
 
 
 def parse_job_request(data: Any) -> JobRequest:
@@ -119,32 +87,14 @@ def parse_job_request(data: Any) -> JobRequest:
 
     Raises :class:`BadRequestError` with a client-facing message on
     any malformed input — the app maps it to HTTP 400 exactly like the
-    CLI maps the same :class:`ValueError` family to exit 2.
+    CLI maps the same :class:`ValueError` from the shared campaign
+    front door (:mod:`repro.campaign.definitions`) to exit 2.
     """
-    backend = None
-    if isinstance(data, dict):
-        backend = data.get("backend")
-    if isinstance(data, list):
-        definition = _specs_definition(data)
-    elif isinstance(data, dict) and "campaign" in data:
-        definition = _named_definition(data)
-    elif isinstance(data, dict) and "specs" in data:
-        if not isinstance(data["specs"], list):
-            raise BadRequestError('"specs" must be an array')
-        definition = _specs_definition(data["specs"])
-    elif isinstance(data, dict) and isinstance(data.get("spec"), dict):
-        # {"spec": {...}} wrapper — NOT a bare RunSpec, whose own
-        # "spec" key is the schema-tag *string*.
-        definition = _specs_definition([data["spec"]])
-    elif isinstance(data, dict):
-        # A bare RunSpec object (the `repro-diag run` input shape).
-        spec_dict = {k: v for k, v in data.items() if k != "backend"}
-        definition = _specs_definition([spec_dict])
-    else:
-        raise BadRequestError(
-            "submission must be a JSON object or an array of RunSpec "
-            "objects")
-    definition = _apply_backend(definition, backend)
+    backend = data.get("backend") if isinstance(data, dict) else None
+    try:
+        definition = with_backend(_definition(data), backend)
+    except ValueError as exc:
+        raise BadRequestError(str(exc)) from exc
     keys = [store_key(spec) for _label, spec in definition.labeled_specs]
     request_echo = {"campaign": definition.name,
                     "params": dict(definition.params)}

@@ -374,13 +374,15 @@ def test_channel_model_replicate_batch(model):
 @pytest.mark.slow
 def test_channel_models_across_jobs():
     """jobs=2 pool dispatch reproduces jobs=1 for every channel model."""
-    from repro.runner.sweep import run_monte_carlo_sweep
+    from repro.campaign import monte_carlo_specs, run_campaign
 
     for model in CHANNEL_MODELS:
-        spec = _channel_spec(model, 0, n=4, rounds=10)
-        serial = run_monte_carlo_sweep(spec, replicates=4, jobs=1)
-        fanned = run_monte_carlo_sweep(spec, replicates=4, jobs=2)
-        assert serial == fanned, model
+        labeled = [(f"replicate-{i}", s) for i, s in enumerate(
+            monte_carlo_specs(_channel_spec(model, 0, n=4, rounds=10), 4))]
+        serial = run_campaign(labeled, jobs=1)
+        fanned = run_campaign(labeled, jobs=2)
+        assert serial.ok and fanned.ok, model
+        assert serial.results == fanned.results, model
 
 
 def test_adaptive_saboteur_event_paths_agree():

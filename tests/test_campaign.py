@@ -28,12 +28,9 @@ from repro.campaign import (
     validation_campaign,
 )
 from repro.campaign.engine import TaskTimeout, _deadline
-from repro.experiments.table2 import table2
-from repro.experiments.validation import run_validation_campaign
 from repro.obs import MetricsRegistry
 from repro.runner.backends import TaskError
-from repro.runner.sweep import run_table2_sweep, run_validation_sweep
-from repro.spec import ClusterSpec, ProtocolSpec, RunSpec
+from repro.spec import ClusterSpec, ProtocolSpec, RunSpec, execute
 from repro.store import ResultStore
 
 REPS = 1
@@ -48,6 +45,17 @@ def _spec(seed=0, n_rounds=8, reducer=None):
         n_rounds=n_rounds,
         reducer=reducer,
     )
+
+
+def _serial(defn):
+    """The in-process reference: every spec executed in task order."""
+    return defn.aggregate([execute(s) for _label, s in defn.labeled_specs])
+
+
+def _engine(defn, **kwargs):
+    result = run_campaign(defn.labeled_specs, name=defn.name, **kwargs)
+    result.raise_first_error()
+    return defn.aggregate(result.results)
 
 
 def _failing_spec(seed=0):
@@ -96,16 +104,17 @@ class TestStoreFirstExecution:
         assert parallel.merged_snapshot() == serial.merged_snapshot()
 
     def test_aggregates_match_serial_campaigns(self, store):
-        summary = run_validation_sweep(repetitions=REPS, store=store)
-        serial = run_validation_campaign(repetitions=REPS)
-        assert summary.results == serial.results
+        defn = validation_campaign(repetitions=REPS)
+        serial = _serial(defn)
+        assert _engine(defn, store=store).results == serial.results
         # second pass: pure cache replay, same aggregate
-        warm = run_validation_sweep(repetitions=REPS, store=store)
-        assert warm.results == serial.results
+        assert _engine(defn, store=store).results == serial.results
 
     def test_table2_through_store(self, store):
-        assert run_table2_sweep(seed=0, store=store) == table2(seed=0)
-        assert run_table2_sweep(seed=0, store=store) == table2(seed=0)
+        defn = table2_campaign(seed=0)
+        serial = _serial(defn)
+        assert _engine(defn, store=store) == serial
+        assert _engine(defn, store=store) == serial
 
 
 class TestCheckpointResume:
@@ -274,8 +283,7 @@ class TestFaultTolerance:
 class TestDefinitions:
     def test_table2_definition_matches_reference(self):
         defn = table2_campaign(seed=0)
-        result = run_campaign(defn.labeled_specs)
-        assert defn.aggregate(result.results) == table2(seed=0)
+        assert _engine(defn) == _serial(defn)
 
     def test_render_produces_tables(self):
         defn = validation_campaign(repetitions=REPS)
@@ -286,3 +294,14 @@ class TestDefinitions:
     def test_build_campaign_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown campaign"):
             build_campaign("figure9")
+
+    @pytest.mark.parametrize("name,knobs", [
+        ("validate", {"reps": 1, "nodes": 5}),
+        ("table2", {"seed": 3}),
+        ("rare-events", {"reps": 2, "seed": 7}),
+    ])
+    def test_document_params_rebuild_the_same_campaign(self, name, knobs):
+        built = build_campaign(name, **knobs)
+        rebuilt = build_campaign(name, **built.params)
+        assert rebuilt.params == built.params
+        assert rebuilt.labeled_specs == built.labeled_specs

@@ -213,6 +213,24 @@ def test_campaign_run_rejects_unknown_source(capsys):
     assert "neither a named campaign" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["validate", "--reps", "0"], "has no tasks"),
+    (["spec", "validate", "--reps", "0"], "has no tasks"),
+    (["campaign", "run", "validate", "--nodes", "1", "--no-store"],
+     "n_nodes must be >= 2"),
+    (["campaign", "run", "rare-events", "--reps", "-2", "--no-store"],
+     "has no tasks"),
+    (["results", "render", "rare-events", "--reps", "0"], "has no tasks"),
+])
+def test_bad_campaign_knobs_exit_2(capsys, monkeypatch, tmp_path, argv,
+                                  needle):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and needle in captured.err
+    assert "all passed" not in captured.out
+
+
 def test_campaign_status_and_gc(capsys, tmp_path):
     store = str(tmp_path / "store")
     assert main(["campaign", "run", "validate", "--reps", "1",

@@ -8,6 +8,7 @@ physical injection timing differs slightly from our idealised bursts).
 
 import pytest
 
+from repro.campaign import run_campaign, table2_campaign
 from repro.core.config import CriticalityClass
 from repro.experiments.adverse import (
     PAPER_TABLE4,
@@ -24,15 +25,22 @@ from repro.experiments.figure3 import (
 from repro.experiments.table2 import (
     analytic_cross_check,
     measure_penalty_budget,
-    table2,
 )
 
 C = CriticalityClass
 
 
+def _table2_rows():
+    """Table 2 rows through the campaign engine."""
+    definition = table2_campaign()
+    result = run_campaign(definition.labeled_specs, name=definition.name)
+    result.raise_first_error()
+    return definition.aggregate(result.results)
+
+
 class TestTable2Measurement:
     def test_measured_budgets_match_paper(self):
-        rows = {(r.domain, r.criticality_class): r for r in table2()}
+        rows = {(r.domain, r.criticality_class): r for r in _table2_rows()}
         auto_sc = rows[("Automotive", C.SC)]
         assert auto_sc.measured_budget == 5
         assert auto_sc.criticality == 40
@@ -43,7 +51,7 @@ class TestTable2Measurement:
 
     def test_measurement_agrees_with_closed_form(self):
         auto, aero = analytic_cross_check()
-        rows = {(r.domain, r.criticality_class): r for r in table2()}
+        rows = {(r.domain, r.criticality_class): r for r in _table2_rows()}
         for cls, budget in auto.penalty_budgets.items():
             assert rows[("Automotive", cls)].measured_budget == budget
         for cls, budget in aero.penalty_budgets.items():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import run_campaign, validation_campaign
 from repro.experiments.validation import (
     CampaignSummary,
     expected_faulty_slots,
@@ -9,7 +10,6 @@ from repro.experiments.validation import (
     run_clique_experiment,
     run_malicious_experiment,
     run_penalty_reward_experiment,
-    run_validation_campaign,
 )
 
 
@@ -86,7 +86,11 @@ class TestCliqueClass:
 
 class TestCampaign:
     def test_small_campaign_all_pass(self):
-        summary = run_validation_campaign(repetitions=1)
+        definition = validation_campaign(repetitions=1)
+        result = run_campaign(definition.labeled_specs,
+                              name=definition.name)
+        result.raise_first_error()
+        summary = definition.aggregate(result.results)
         assert summary.all_passed
         # 12 burst classes + p/r + 4 malicious + clique = 18 classes.
         assert len(summary.results) == 18

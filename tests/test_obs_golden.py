@@ -8,12 +8,7 @@ metrics of the validation campaign are part of the repo's behavioural
 contract, like the trace goldens.  To regenerate after an intended
 change::
 
-    PYTHONPATH=src python -c "
-    from repro.runner.sweep import run_validation_sweep
-    from repro.obs import run_report, render_json
-    _s, snap = run_validation_sweep(repetitions=2, jobs=1, with_metrics=True)
-    open('tests/data/golden_validate_metrics.json', 'w').write(
-        render_json(run_report('validate', {'reps': 2}, snap)))"
+    repro-diag validate --reps 2 --metrics-out tests/data/golden_validate_metrics.json
 """
 
 import json
@@ -21,17 +16,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import run_campaign, validation_campaign
 from repro.cli import main
 from repro.obs import REPORT_SCHEMA, load_report, render_json, run_report
-from repro.runner.sweep import run_validation_sweep
 
 GOLDEN = Path(__file__).parent / "data" / "golden_validate_metrics.json"
 
 
 def fresh_report_text(jobs=1):
-    _summary, snapshot = run_validation_sweep(repetitions=2, jobs=jobs,
-                                              with_metrics=True)
-    return render_json(run_report("validate", {"reps": 2}, snapshot))
+    defn = validation_campaign(repetitions=2)
+    result = run_campaign(defn.labeled_specs, name=defn.name, jobs=jobs)
+    result.raise_first_error()
+    return render_json(run_report("validate", {"reps": 2},
+                                  result.merged_snapshot()))
 
 
 class TestGoldenReport:

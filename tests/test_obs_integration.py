@@ -19,11 +19,24 @@ from repro.obs import (
     render_json,
     run_report,
 )
-from repro.runner.sweep import run_table2_sweep, run_validation_sweep
+from repro.campaign import run_campaign, table2_campaign, validation_campaign
+from repro.spec import execute
 
 N_NODES = 4
 ROUNDS = 20
 FAULT_ROUND = 5
+
+
+def run_with_metrics(defn, jobs):
+    """A campaign through the engine: (aggregate, merged snapshot)."""
+    result = run_campaign(defn.labeled_specs, name=defn.name, jobs=jobs)
+    result.raise_first_error()
+    return defn.aggregate(result.results), result.merged_snapshot()
+
+
+def run_unmetered(defn):
+    """The in-process reference: every spec executed in task order."""
+    return defn.aggregate([execute(s) for _label, s in defn.labeled_specs])
 
 
 def run_metered(n_nodes=N_NODES, seed=0, trace_level=2, burst_slots=1,
@@ -232,25 +245,25 @@ class TestDeterminism:
                 == sorted(r2.snapshot()["counters"]))
 
     def test_validation_sweep_jobs_invariant(self):
-        serial = run_validation_sweep(repetitions=1, jobs=1,
-                                      with_metrics=True)
-        parallel = run_validation_sweep(repetitions=1, jobs=4,
-                                        with_metrics=True)
+        defn = validation_campaign(repetitions=1)
+        serial = run_with_metrics(defn, jobs=1)
+        parallel = run_with_metrics(defn, jobs=4)
         assert serial[0].results == parallel[0].results
         assert (render_json(run_report("validate", {"reps": 1}, serial[1]))
                 == render_json(run_report("validate", {"reps": 1},
                                           parallel[1])))
 
     def test_validation_sweep_metrics_match_unmetered_verdicts(self):
-        summary_plain = run_validation_sweep(repetitions=1, jobs=1)
-        summary_metered, merged = run_validation_sweep(repetitions=1, jobs=1,
-                                                       with_metrics=True)
+        defn = validation_campaign(repetitions=1)
+        summary_plain = run_unmetered(defn)
+        summary_metered, merged = run_with_metrics(defn, jobs=1)
         assert summary_plain.results == summary_metered.results
         assert merged["counters"]["diag.analysis_rounds"] > 0
 
     def test_table2_sweep_with_metrics_matches_plain(self):
-        plain = run_table2_sweep(jobs=1)
-        rows, merged = run_table2_sweep(jobs=2, with_metrics=True)
+        defn = table2_campaign()
+        plain = run_unmetered(defn)
+        rows, merged = run_with_metrics(defn, jobs=2)
         assert rows == plain
         # Budget runs execute at trace_level=0; the metrics registry is
         # their only online observability and must still be populated.
@@ -258,12 +271,10 @@ class TestDeterminism:
         assert merged["counters"]["pr.penalty_increments"] > 0
 
     def test_merged_sweep_equals_manual_merge_any_order(self):
-        _summary, merged = run_validation_sweep(repetitions=1, jobs=1,
-                                                with_metrics=True)
+        _summary, merged = run_with_metrics(validation_campaign(repetitions=1),
+                                            jobs=1)
         # Re-merge the per-task snapshots in reverse order by rerunning
         # the tasks serially ourselves.
-        from repro.campaign import run_campaign, validation_campaign
-
         snaps = run_campaign(
             validation_campaign(repetitions=1).labeled_specs).snapshots
         assert merge_snapshots(snaps) == merged

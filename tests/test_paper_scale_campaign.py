@@ -9,16 +9,19 @@ seed actually changes the protocol's execution.
 
 import pytest
 
+from repro.campaign import run_campaign, validation_campaign
 from repro.core.config import uniform_config
 from repro.core.service import DiagnosedCluster
 from repro.experiments.oracle import check_against_oracle
-from repro.experiments.validation import run_validation_campaign
 from repro.faults.scenarios import SlotBurst
 
 
 @pytest.mark.slow
 def test_campaign_20_reps_all_pass():
-    summary = run_validation_campaign(repetitions=20)
+    definition = validation_campaign(repetitions=20)
+    result = run_campaign(definition.labeled_specs, name=definition.name)
+    result.raise_first_error()
+    summary = definition.aggregate(result.results)
     assert summary.total_injections == 18 * 20
     failing = {cls: rate for cls, rate in summary.pass_rates().items()
                if rate < 1.0}

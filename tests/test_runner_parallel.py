@@ -1,8 +1,9 @@
 """Serial/parallel exactness of the experiment runner.
 
 The contract of :mod:`repro.runner` is that the worker count is purely
-an execution detail: ``jobs=1`` reproduces the serial campaign
-functions exactly, and any ``jobs > 1`` reproduces ``jobs=1`` exactly
+an execution detail: ``jobs=1`` reproduces the in-process serial
+execution of a campaign's specs exactly, and any ``jobs > 1``
+reproduces ``jobs=1`` exactly
 (explicit per-task seeds, task-order merging).  These tests pin both
 halves of the contract plus the dispatch primitives themselves, as the
 campaign engine exposes them.
@@ -13,15 +14,24 @@ import pytest
 from repro.campaign import (
     CampaignFailedError,
     run_campaign,
+    table2_campaign,
     validation_campaign,
 )
-from repro.experiments.table2 import table2
-from repro.experiments.validation import run_validation_campaign
 from repro.runner.backends import TaskError
-from repro.runner.sweep import run_table2_sweep, run_validation_sweep
-from repro.spec import ClusterSpec, ProtocolSpec, RunSpec, run_spec_dict
+from repro.spec import ClusterSpec, ProtocolSpec, RunSpec, execute, run_spec_dict
 
 REPS = 2
+
+
+def _serial(defn):
+    """The in-process reference: every spec executed in task order."""
+    return defn.aggregate([execute(s) for _label, s in defn.labeled_specs])
+
+
+def _engine(defn, jobs):
+    result = run_campaign(defn.labeled_specs, name=defn.name, jobs=jobs)
+    result.raise_first_error()
+    return defn.aggregate(result.results)
 
 
 def _spec(seed=0, n_rounds=4, reducer=None):
@@ -105,21 +115,24 @@ class TestValidationSweep:
         assert len(tasks) == 18
 
     def test_jobs1_matches_serial_campaign(self):
-        serial = run_validation_campaign(repetitions=REPS)
-        sweep = run_validation_sweep(repetitions=REPS, jobs=1)
+        defn = validation_campaign(repetitions=REPS)
+        serial = _serial(defn)
+        sweep = _engine(defn, jobs=1)
         assert sweep.results == serial.results
         assert sweep.total_injections == serial.total_injections
         assert sweep.all_passed == serial.all_passed
 
     def test_jobs4_matches_jobs1(self):
-        one = run_validation_sweep(repetitions=REPS, jobs=1)
-        four = run_validation_sweep(repetitions=REPS, jobs=4)
+        defn = validation_campaign(repetitions=REPS)
+        one = _engine(defn, jobs=1)
+        four = _engine(defn, jobs=4)
         assert four.results == one.results
         assert four.pass_rates() == one.pass_rates()
 
 
 class TestTable2Sweep:
     def test_jobs_equivalence(self):
-        serial = table2(seed=0)
-        assert run_table2_sweep(seed=0, jobs=1) == serial
-        assert run_table2_sweep(seed=0, jobs=4) == serial
+        defn = table2_campaign(seed=0)
+        serial = _serial(defn)
+        assert _engine(defn, jobs=1) == serial
+        assert _engine(defn, jobs=4) == serial

@@ -9,6 +9,9 @@ nothing at all, and a full queue pushes back instead of piling up.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -16,6 +19,7 @@ import pytest
 
 import repro.service.jobs as jobs_module
 from repro.campaign import result_document, run_campaign
+from repro.cli import main
 from repro.obs.export import render_json
 from repro.service import (
     BadRequestError,
@@ -107,10 +111,59 @@ class TestParseJobRequest:
         (dict(_spec().to_dict(),
               protocol=dict(_spec().to_dict()["protocol"],
                             startup_rounds=-3)), "startup_rounds"),
+        # Knob values the protocol rejects, and knobs enumerating no
+        # tasks (which would all share the empty key list's job id).
+        ({"campaign": "validate", "nodes": 1}, "n_nodes must be >= 2"),
+        ({"campaign": "rare-events", "nodes": 1}, "n_nodes must be >= 2"),
+        ({"campaign": "validate", "reps": 0}, "has no tasks"),
+        ({"campaign": "validate", "reps": -1}, "has no tasks"),
+        ({"campaign": "rare-events", "reps": 0}, "has no tasks"),
+        ({"campaign": "rare-events", "reps": -2}, "has no tasks"),
     ])
     def test_bad_requests_are_client_errors(self, body, needle):
         with pytest.raises(BadRequestError, match=needle):
             parse_job_request(body)
+
+    @pytest.mark.parametrize("text,needle", [
+        ('{"n_rounds": 3}', "spec #0: 'protocol'"),
+        ("[1, 2]", "spec #0 must be a JSON object, got int"),
+        ('{"protocol": {"n_nodes": 4}}', "spec #0: "),
+        ("not json", "not valid JSON"),
+        ("[]", "submission contains no specs"),
+    ])
+    def test_malformed_spec_files_are_client_errors(self, tmp_path, capsys,
+                                                    text, needle):
+        # One parser behind every surface: the service answers 400 (an
+        # undecodable body is rejected by the app before parsing), and
+        # `run` / `campaign run` print the same message and exit 2.
+        try:
+            data = json.loads(text)
+        except ValueError:
+            pass
+        else:
+            with pytest.raises(BadRequestError) as excinfo:
+                parse_job_request(data)
+            assert needle in str(excinfo.value)
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["run", str(path)],
+                     ["campaign", "run", str(path), "--no-store"]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and needle in err, argv
+            assert "Traceback" not in err
+
+    def test_importing_the_service_loads_no_experiment_module(self):
+        # The experiments package (ten modules) loads lazily, with the
+        # first job whose reducer lives there — not at server start.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "src")
+        code = ("import sys, repro.service; print(sorted(m for m in "
+                "sys.modules if m.startswith('repro.experiments')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestJobEventLog:

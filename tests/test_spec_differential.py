@@ -37,7 +37,6 @@ from repro.experiments.validation import (
 from repro.experiments.table2 import measure_penalty_budget
 from repro.faults.scenarios import BusBurst, SenderFault, SlotBurst, every_nth_round
 from repro.obs import MetricsRegistry, render_json
-from repro.runner.sweep import run_validation_sweep
 from repro.spec import strip_provenance
 from repro.tt.cluster import PAPER_ROUND_LENGTH
 
@@ -244,10 +243,14 @@ def test_sweep_matches_direct_assembly_at_jobs_1_and_4():
         return [(cls, passed) for cls, outcomes in summary.results.items()
                 for passed in outcomes]
 
-    serial = run_validation_sweep(repetitions=1, jobs=1)
-    parallel = run_validation_sweep(repetitions=1, jobs=4)
-    assert flatten(serial) == direct
-    assert flatten(parallel) == direct
+    def sweep(jobs: int):
+        definition = validation_campaign(repetitions=1)
+        result = run_campaign(definition.labeled_specs, jobs=jobs)
+        result.raise_first_error()
+        return definition.aggregate(result.results)
+
+    assert flatten(sweep(jobs=1)) == direct
+    assert flatten(sweep(jobs=4)) == direct
 
 
 def test_sweep_metrics_byte_identical_across_jobs():

@@ -22,10 +22,9 @@ from dataclasses import replace
 import pytest
 
 import repro.vec
-from repro.campaign import run_campaign
+from repro.campaign import monte_carlo_specs, run_campaign
 from repro.cli import main
 from repro.obs import MetricsRegistry
-from repro.runner.sweep import monte_carlo_specs, run_monte_carlo_sweep
 from repro.spec import ClusterSpec, ProtocolSpec, RunSpec, ScenarioSpec
 from repro.store import ResultStore
 from repro.vec import NUMPY_AVAILABLE
@@ -50,6 +49,14 @@ def _spec(seed=0, backend="event"):
 
 def _labeled(specs):
     return [(f"replicate-{i}", s) for i, s in enumerate(specs)]
+
+
+def _sweep(spec, replicates, store=None):
+    """Seed-shifted replicates of ``spec`` through the engine."""
+    result = run_campaign(_labeled(monte_carlo_specs(spec, replicates)),
+                          store=store)
+    result.raise_first_error()
+    return result.results
 
 
 def test_backend_stays_out_of_content_address():
@@ -139,16 +146,16 @@ class TestMonteCarloSweep:
         assert [s.cluster.seed for s in specs] == [7, 8, 9]
 
     def test_backends_agree_through_the_sweep(self):
-        vec = run_monte_carlo_sweep(_spec(backend="vectorized"), 4)
-        event = run_monte_carlo_sweep(_spec(), 4)
+        vec = _sweep(_spec(backend="vectorized"), 4)
+        event = _sweep(_spec(), 4)
         assert vec == event
         assert len(vec) == 4
 
     def test_sweep_replays_from_store(self, tmp_path):
         spec = _spec(backend="vectorized")
         with ResultStore(str(tmp_path / "store")) as store:
-            first = run_monte_carlo_sweep(spec, 3, store=store)
-            second = run_monte_carlo_sweep(spec, 3, store=store)
+            first = _sweep(spec, 3, store=store)
+            second = _sweep(spec, 3, store=store)
         assert first == second
 
 
