@@ -28,6 +28,7 @@ The CLI surface is ``repro-diag campaign run|status|gc``.
 
 from .definitions import (
     CAMPAIGN_KNOBS,
+    CAMPAIGN_KNOB_RANGES,
     CAMPAIGN_RESULT_SCHEMA,
     COMPATIBLE_RESULT_SCHEMAS,
     NAMED_CAMPAIGNS,
@@ -56,6 +57,7 @@ from .state import CampaignState, campaign_id, load_all_states
 
 __all__ = [
     "CAMPAIGN_KNOBS",
+    "CAMPAIGN_KNOB_RANGES",
     "CAMPAIGN_RESULT_SCHEMA",
     "COMPATIBLE_RESULT_SCHEMAS",
     "NAMED_CAMPAIGNS",

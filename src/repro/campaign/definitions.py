@@ -285,6 +285,14 @@ def specs_campaign(data: Any) -> CampaignDefinition:
 #: ``POST /v1/jobs``, with their shared defaults.
 CAMPAIGN_KNOBS = {"reps": 5, "nodes": 4, "seed": 0}
 
+#: Inclusive ranges of the size knobs.  :func:`build_campaign` rejects
+#: a value above its range before building anything: a submission is
+#: parsed by building and digesting every spec, and ``validate``
+#: enumerates 18 tasks per rep, so the ranges cap a named campaign at
+#: 18,000 tasks.  A value below its range is rejected by the campaign
+#: having no tasks (``reps``) or by the protocol (``nodes``).
+CAMPAIGN_KNOB_RANGES = {"reps": (1, 1000), "nodes": (2, 64)}
+
 #: Named campaigns: name -> builder over the campaign's ``params`` (the
 #: keys :func:`result_document` writes); other knobs are ignored.
 _BUILDERS: Dict[str, Callable[..., CampaignDefinition]] = {
@@ -307,8 +315,9 @@ def build_campaign(name: str, /, **params: Any) -> CampaignDefinition:
     result document, which rebuild the same labels in the same order —
     the results pipeline's compat path for ``/1`` documents and the
     digest-keyed diff's source of per-label specs.  Raises
-    :class:`ValueError` for an unknown name, a non-integer knob, a
-    value the protocol rejects, or a campaign with no tasks.
+    :class:`ValueError` for an unknown name, a non-integer knob, a knob
+    above its :data:`CAMPAIGN_KNOB_RANGES` range, a value the protocol
+    rejects, or a campaign with no tasks.
     """
     if name not in NAMED_CAMPAIGNS:
         raise ValueError(
@@ -318,6 +327,10 @@ def build_campaign(name: str, /, **params: Any) -> CampaignDefinition:
     for key in CAMPAIGN_KNOBS:
         if not isinstance(params[key], int) or isinstance(params[key], bool):
             raise ValueError(f"{key!r} must be an integer")
+    for key, (low, high) in CAMPAIGN_KNOB_RANGES.items():
+        if params[key] > high:
+            raise ValueError(
+                f"{key!r} must be in {low}..{high}, got {params[key]}")
     definition = _BUILDERS[name](**params)
     if not definition.labeled_specs:
         raise ValueError(
@@ -391,6 +404,7 @@ def result_document(definition: CampaignDefinition,
 
 __all__ = [
     "CAMPAIGN_KNOBS",
+    "CAMPAIGN_KNOB_RANGES",
     "CAMPAIGN_RESULT_SCHEMA",
     "COMPATIBLE_RESULT_SCHEMAS",
     "NAMED_CAMPAIGNS",

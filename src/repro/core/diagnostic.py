@@ -32,7 +32,7 @@ minority accusations by overriding two hooks.
 from __future__ import annotations
 
 from random import Random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.trace import Trace
 from ..tt.controller import DIAG_CHANNEL, SenderStatus
@@ -111,11 +111,18 @@ class DiagnosticService:
             node.ground_truth.notes["byzantine"] = True
 
         n = config.n_nodes
+        # The job plan: per-round constants of Alg. 1, derived from the
+        # (frozen) configuration once.  Round k diagnoses round
+        # k - _d_offset, and own syndromes are kept _own_ls_depth rounds
+        # for the Lemma 3 fallback.
+        self._d_offset = -diagnosed_round(0, config.all_send_curr_round)
+        self._startup_rounds = config.startup_rounds
+        self._own_ls_depth = config.detection_pipeline_rounds() + 2
         # Buffers for read/send alignment (Alg. 1 lines 16-17).  All are
-        # 0-based lists of length N (index j-1 for node j).
+        # 0-based sequences of length N (index j-1 for node j).
         self._prev_dm: List[Any] = [None] * n
         self._prev_ls: List[int] = [0] * n
-        self._prev_al_ls: List[int] = [0] * n
+        self._prev_al_ls: Sequence[int] = [0] * n
         # Own aligned syndromes by the round their observations refer
         # to; the Lemma 3 fallback reads the diagnosed round's entry.
         self._own_ls_by_round: Dict[int, Tuple[int, ...]] = {}
@@ -189,16 +196,17 @@ class DiagnosticService:
         self._now = ctx.time
 
         # Phases 1 and 3 — read interface state and align (lines 1-6).
-        iface = controller.read_interface(channel=DIAG_CHANNEL)
-        vbits = controller.read_validity()
-        curr_dm = iface[1:]
-        curr_ls = vbits[1:]
+        curr_dm, curr_ls = controller.read_channel(DIAG_CHANNEL)
         l = ctx.params.l
         al_dm = read_align(self._prev_dm, curr_dm, l)
         al_ls = read_align(self._prev_ls, curr_ls, l)
-        d_round = diagnosed_round(k, self.config.all_send_curr_round)
+        # The health vector of round k covers round k-2 or k-3 (Lemma
+        # 1); until that round exists and any configured startup margin
+        # has passed, the pipeline holds no genuine data to analyse.
+        d_round = k - self._d_offset
+        analysis_on = d_round >= self._startup_rounds
 
-        if self._analysis_enabled(k) and self.analysis_before_dissemination:
+        if analysis_on and self.analysis_before_dissemination:
             # Membership variant: analyse first so accusations can ride
             # on the syndrome disseminated this round (Sec. 7).
             matrix = self._build_matrix(al_dm, al_ls)
@@ -209,23 +217,25 @@ class DiagnosticService:
         else:
             # Phase 2 — dissemination (lines 7-10).
             self._disseminate(controller, al_ls, ctx.params.send_curr_round, k)
-            if self._analysis_enabled(k):
+            if analysis_on:
                 # Phases 4 and 5 — analysis and counter update.
                 matrix = self._build_matrix(al_dm, al_ls)
                 cons_hv = self._analyse(controller, matrix, d_round, k)
                 al_ls = self._post_analysis(al_dm, al_ls, cons_hv, k)
                 self._update_counters(controller, cons_hv, k)
 
-        # Buffering for the next round (lines 16-17).
-        self._prev_dm = list(curr_dm)
-        self._prev_ls = list(curr_ls)
-        self._prev_al_ls = list(al_ls)
-        self._own_ls_by_round[k - 1] = tuple(al_ls)
+        # Buffering for the next round (lines 16-17).  The controller
+        # read returned fresh lists, so they are kept without a copy.
+        self._prev_dm = curr_dm
+        self._prev_ls = curr_ls
+        al_ls = tuple(al_ls)
+        self._prev_al_ls = al_ls
+        self._own_ls_by_round[k - 1] = al_ls
         self._prune_own_ls(k)
 
         if self.trace_level >= TRACE_ALL:
             self.trace.record(ctx.time, "syndrome", node=self.node_id,
-                              round_index=k, syndrome=tuple(al_ls), l=l)
+                              round_index=k, syndrome=al_ls, l=l)
 
     def _execute_dynamic(self, ctx: JobContext) -> None:
         """The round-tagged variant for dynamic node schedules."""
@@ -239,7 +249,7 @@ class DiagnosticService:
         al_ls = self._history_validity(controller, k - 1)
         d_round = k - 3
 
-        analysis_on = d_round >= self.config.startup_rounds
+        analysis_on = d_round >= self._startup_rounds
         if analysis_on and self.analysis_before_dissemination:
             matrix = self._build_tagged_matrix(controller, d_round, k)
             cons_hv = self._analyse(controller, matrix, d_round, k)
@@ -270,11 +280,13 @@ class DiagnosticService:
         return al_ls
 
     def _prune_own_ls(self, k: int) -> None:
-        """Drop own-syndrome buffer entries older than the pipeline depth."""
-        horizon = k - self.config.detection_pipeline_rounds() - 2
-        stale = [r for r in self._own_ls_by_round if r < horizon]
-        for r in stale:
-            del self._own_ls_by_round[r]
+        """Drop the own-syndrome entry that just left the pipeline depth.
+
+        Entries older than ``k - _own_ls_depth`` are stale.  Each
+        execution adds the entry for round ``k-1`` and the job runs once
+        per round, so exactly one entry expires per execution.
+        """
+        self._own_ls_by_round.pop(k - self._own_ls_depth - 1, None)
 
     # ------------------------------------------------------------------
     # Variant hooks
@@ -311,16 +323,6 @@ class DiagnosticService:
     # ------------------------------------------------------------------
     # Phase 4 — analysis
     # ------------------------------------------------------------------
-    def _analysis_enabled(self, k: int) -> bool:
-        """Whether the dissemination pipeline holds genuine data.
-
-        The health vector at round ``k`` refers to round ``k-2``/``k-3``
-        (Lemma 1); until that diagnosed round exists (and any extra
-        configured startup margin passed) the analysis is skipped.
-        """
-        return (diagnosed_round(k, self.config.all_send_curr_round)
-                >= self.config.startup_rounds)
-
     def _build_matrix(self, al_dm: List[Any], al_ls: List[int]):
         """Aggregation: the diagnostic matrix with ε rows filled in."""
         n = self.config.n_nodes
@@ -522,11 +524,14 @@ class DiagnosticService:
                 curr_act = self.pr.update(cons_hv)
         else:
             curr_act = self.pr.update(cons_hv)
-        newly_isolated = [j for j in range(1, self.config.n_nodes + 1)
-                          if self.active[j - 1] == 1 and curr_act[j - 1] == 0]
-        self.active = [a and c for a, c in zip(self.active, curr_act)]
-        for j in newly_isolated:
-            self._apply_isolation(controller, j, k)
+        if 0 in curr_act:
+            # Only a 0 entry can change ``active`` or isolate a node.
+            newly_isolated = [
+                j for j in range(1, self.config.n_nodes + 1)
+                if self.active[j - 1] == 1 and curr_act[j - 1] == 0]
+            self.active = [a and c for a, c in zip(self.active, curr_act)]
+            for j in newly_isolated:
+                self._apply_isolation(controller, j, k)
         if self.trace_level >= TRACE_ALL and (
                 any(self.pr.penalties) or any(self.pr.rewards)):
             self.trace.record(self._now, "penalty", node=self.node_id,

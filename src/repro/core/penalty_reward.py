@@ -72,6 +72,10 @@ class PenaltyRewardState:
             raise ValueError(
                 f"cons_hv must have {cfg.n_nodes} entries, got {len(cons_hv)}")
         curr_act = [1] * cfg.n_nodes
+        if 0 not in cons_hv and not any(self.penalties):
+            # A healthy vector with no penalty pending moves no counter
+            # (the loop below would take neither branch for any node).
+            return curr_act
         m_on = self._m_on
         for idx in range(cfg.n_nodes):
             if cons_hv[idx] == 0:

@@ -168,10 +168,20 @@ class DiagnosedCluster:
 
     def health_vectors(self, node_id: int) -> Dict[int, Tuple[int, ...]]:
         """Diagnosed round -> consistent health vector, from the trace."""
-        out: Dict[int, Tuple[int, ...]] = {}
-        for rec in self.trace.select(category="cons_hv", node=node_id):
-            out[rec.data["diagnosed_round"]] = tuple(rec.data["cons_hv"])
-        return out
+        return self._health_vectors_of((node_id,))[node_id]
+
+    def _health_vectors_of(self, nodes: Sequence[int]
+                           ) -> Dict[int, Dict[int, Tuple[int, ...]]]:
+        """:meth:`health_vectors` of several nodes, in one trace pass."""
+        vectors: Dict[int, Dict[int, Tuple[int, ...]]] = {
+            node_id: {} for node_id in nodes}
+        for rec in self.trace:
+            if rec.category == "cons_hv":
+                per_node = vectors.get(rec.node)
+                if per_node is not None:
+                    data = rec.data
+                    per_node[data["diagnosed_round"]] = tuple(data["cons_hv"])
+        return vectors
 
     def consistent_health_history(self, obedient_only: bool = True) -> bool:
         """Whether all (obedient) nodes produced identical health vectors.
@@ -183,8 +193,8 @@ class DiagnosedCluster:
         nodes = (self.obedient_node_ids() if obedient_only
                  else tuple(self.services))
         reference: Dict[int, Tuple[int, ...]] = {}
-        for node_id in nodes:
-            for d_round, hv in self.health_vectors(node_id).items():
+        for per_node in self._health_vectors_of(nodes).values():
+            for d_round, hv in per_node.items():
                 if d_round in reference:
                     if reference[d_round] != hv:
                         return False

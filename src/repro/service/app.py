@@ -160,12 +160,17 @@ class _ServiceApp:
         except (ValueError, UnicodeDecodeError) as exc:
             await _send_error(send, 400, f"body is not valid JSON: {exc}")
             return
+        # Parsing builds and digests every spec, so it runs on the
+        # default executor, not the loop (which serves other requests,
+        # SSE streams and /v1/metrics meanwhile).  The module global is
+        # looked up per call, so a rebound ``parse_job_request`` is used.
+        loop = asyncio.get_running_loop()
         try:
-            request = parse_job_request(data)
+            request = await loop.run_in_executor(
+                None, parse_job_request, data)
         except BadRequestError as exc:
             await _send_error(send, 400, str(exc))
             return
-        loop = asyncio.get_running_loop()
         try:
             outcome = await loop.run_in_executor(
                 None, self.manager.submit, request)

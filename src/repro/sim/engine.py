@@ -1,13 +1,15 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is a classic calendar-queue simulator specialised for the
-needs of this reproduction:
+The engine is a discrete-event simulator over one binary-heap event
+queue, specialised for the needs of this reproduction:
 
 * **Determinism.**  Events are totally ordered by
-  ``(time, priority, insertion sequence)``.  Running the same scenario
-  with the same seeds produces byte-identical traces.
+  ``(time, priority, insertion sequence)``.  The queue is a binary heap
+  of ``(time, priority, seq, event)`` tuples, so that order is plain
+  tuple comparison.  Running the same scenario with the same seeds
+  produces byte-identical traces.
 * **Sub-slot resolution.**  Simulation time is a float in seconds.  TDMA
-  slot boundaries, per-receiver deliveries and application job
+  slot boundaries, per-slot deliveries and application job
   executions are individual events, which lets the time-triggered layer
   express the paper's *unconstrained node scheduling* (diagnostic jobs
   may run at any offset within the round).
@@ -26,9 +28,13 @@ Typical use::
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+import math
+from typing import Any, Callable, List, Optional, Tuple
 
 from .events import Event, EventPriority
+
+#: One heap entry: ``(time, priority, seq, event)``.
+_Entry = Tuple[float, int, int, Event]
 
 
 class SimulationError(RuntimeError):
@@ -38,6 +44,10 @@ class SimulationError(RuntimeError):
 class Engine:
     """Deterministic discrete-event scheduler.
 
+    :meth:`schedule` pushes ``(time, priority, seq, event)`` onto a
+    binary heap and returns the :class:`Event`; :meth:`run` is the one
+    loop that pops and executes them.
+
     Attributes
     ----------
     now:
@@ -46,7 +56,7 @@ class Engine:
 
     def __init__(self, metrics: Optional[Any] = None) -> None:
         self.now: float = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[_Entry] = []
         self._running = False
         self._stopped = False
         self._executed_events = 0
@@ -74,15 +84,15 @@ class Engine:
         Scheduling at the current instant is allowed (the event runs
         within the current ``run`` call, after any already-queued events
         with smaller priority); scheduling strictly in the past raises
-        :class:`SimulationError`.
+        :class:`SimulationError`.  ``description`` only labels the
+        event's ``repr``.
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        event = Event(time=time, priority=int(priority), callback=callback,
-                      description=description)
-        heapq.heappush(self._queue, event)
+        event = Event(time, int(priority), callback, description)
+        heapq.heappush(self._queue, (time, event.priority, event.seq, event))
         return event
 
     def schedule_after(
@@ -116,81 +126,50 @@ class Engine:
         -------
         int
             Number of events executed by this call.
-        """
-        if self._running:
-            raise SimulationError("engine is not reentrant")
-        self._running = True
-        self._stopped = False
-        executed = 0
-        try:
-            while self._queue:
-                if self._stopped:
-                    break
-                event = self._queue[0]
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(self._queue)
-                if event.cancelled:
-                    continue
-                if event.time < self.now:
-                    raise SimulationError("event queue corrupted: time went backwards")
-                self.now = event.time
-                event.callback()
-                executed += 1
-                self._executed_events += 1
-                if max_events is not None and executed >= max_events:
-                    break
-            if until is not None and not self._stopped:
-                # Advance the clock to the horizon even if the queue
-                # drained earlier, so callers can resume seamlessly.
-                self.now = max(self.now, until)
-        finally:
-            self._running = False
-            if self._m_on:
-                self._m_events.inc(executed)
-        return executed
 
-    def run_batch(self, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> int:
-        """Bulk-execute events with minimal per-event overhead.
-
-        Semantically identical to :meth:`run` (same event ordering, same
-        ``until`` / ``max_events`` / ``stop`` behaviour) but the inner
-        loop hoists the queue and clock into locals and drops the
-        per-event clock-regression audit, which measurably reduces the
-        per-event cost on hot simulation paths.  :class:`Cluster` drives
-        rounds through this entry point.
+        With a timing-enabled metrics registry the call is timed under
+        ``engine.run``.
         """
         if self._timing_on:
             with self._metrics.timer("engine.run"):
-                return self._run_batch(until, max_events)
-        return self._run_batch(until, max_events)
+                return self._run(until, max_events)
+        return self._run(until, max_events)
 
-    def _run_batch(self, until: Optional[float],
-                   max_events: Optional[int]) -> int:
+    def _run(self, until: Optional[float],
+             max_events: Optional[int]) -> int:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
         self._stopped = False
         executed = 0
+        # The loop keeps the queue, the bounds and the clock in locals;
+        # ``self.now`` is still written before every callback, which
+        # reads it.
         queue = self._queue
         pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
+        now = self.now
         try:
             while queue:
                 if self._stopped:
                     break
-                event = queue[0]
-                if until is not None and event.time > until:
+                time = queue[0][0]
+                if time > horizon:
                     break
-                pop(queue)
+                event = pop(queue)[3]
                 if event.cancelled:
                     continue
-                self.now = event.time
+                if time < now:
+                    raise SimulationError("event queue corrupted: time went backwards")
+                now = self.now = time
                 event.callback()
                 executed += 1
-                if max_events is not None and executed >= max_events:
+                if executed >= limit:
                     break
             if until is not None and not self._stopped:
+                # Advance the clock to the horizon even if the queue
+                # drained earlier, so callers can resume seamlessly.
                 self.now = max(self.now, until)
         finally:
             self._running = False
@@ -222,9 +201,10 @@ class Engine:
         Cancelled events at the head of the queue are discarded as a
         side effect, exactly as :meth:`run` would skip them.
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+        return queue[0][3] if queue else None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
@@ -47,22 +46,38 @@ class EventPriority(enum.IntEnum):
 _sequence = itertools.count()
 
 
-@dataclass(order=True)
+def _noop() -> None:
+    return None
+
+
 class Event:
     """A scheduled callback.
 
     Events are ordered by ``(time, priority, seq)``; ``seq`` is a global
     monotonically increasing counter, so two events with identical time
-    and priority execute in the order they were scheduled.  The callback
-    and its description are excluded from the ordering.
+    and priority execute in the order they were scheduled.  The engine
+    keeps ``(time, priority, seq, event)`` tuples on its heap, so the
+    order is decided by plain tuple comparison: ``seq`` is unique, and
+    the event object itself is never compared.  The callback and its
+    description take no part in the ordering.
+
+    A ``__slots__`` class rather than a dataclass: the engine creates
+    one per TDMA slot transmission, delivery and job execution, so its
+    construction cost is paid several times per node and round.
     """
 
-    time: float
-    priority: int
-    seq: int = field(default_factory=lambda: next(_sequence))
-    callback: Callable[[], Any] = field(compare=False, default=lambda: None)
-    description: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "priority", "seq", "callback", "description",
+                 "cancelled")
+
+    def __init__(self, time: float, priority: int,
+                 callback: Callable[[], Any] = _noop,
+                 description: str = "") -> None:
+        self.time = time
+        self.priority = priority
+        self.seq = next(_sequence)
+        self.callback = callback
+        self.description = description
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""

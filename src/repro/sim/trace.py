@@ -22,13 +22,16 @@ Categories used throughout the library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry.
+class TraceRecord(NamedTuple):
+    """One trace entry (immutable).
+
+    A named tuple: a simulation appends one record per transmission,
+    syndrome, health vector and counter update, and a tuple is the
+    cheapest immutable record to build.
 
     Attributes
     ----------
@@ -47,7 +50,12 @@ class TraceRecord:
     time: float
     category: str
     node: Optional[int]
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
+
+
+# Builds a record from its four fields without the generated
+# ``__new__``'s Python frame (what ``TraceRecord._make`` does).
+_new_record = tuple.__new__
 
 
 #: Categories still recorded when the trace runs at level 0: protocol
@@ -59,6 +67,11 @@ _DECISION_CATEGORIES = frozenset(
 
 class Trace:
     """Append-only, queryable event log.
+
+    Each :meth:`record` call appends one immutable :class:`TraceRecord`
+    holding the call's keyword arguments as its ``data`` dict (no copy
+    is made: the dict is created fresh by the call).  Queries scan the
+    records in order.
 
     Parameters
     ----------
@@ -91,9 +104,11 @@ class Trace:
         """Append a record and return it.
 
         At trace level 0 only decision categories are kept and ``None``
-        is returned for dropped records.
+        is returned for dropped records.  ``data`` is the call's own
+        keyword dict, fresh on every call, so the record keeps it
+        without a copy.
         """
-        rec = TraceRecord(time=time, category=category, node=node, data=dict(data))
+        rec = _new_record(TraceRecord, (time, category, node, data))
         self._records.append(rec)
         return rec
 
@@ -106,7 +121,7 @@ class Trace:
     ) -> Optional[TraceRecord]:
         if category not in _DECISION_CATEGORIES:
             return None
-        rec = TraceRecord(time=time, category=category, node=node, data=dict(data))
+        rec = _new_record(TraceRecord, (time, category, node, data))
         self._records.append(rec)
         return rec
 

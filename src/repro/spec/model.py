@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple, Type, Union
 
 from ..core.config import IsolationMode, ProtocolConfig
@@ -67,6 +67,11 @@ SCENARIO_REGISTRY: Dict[str, Type[SerializableScenario]] = {
 def _json_canonical(value: Any) -> Any:
     """Normalise ``value`` to JSON-native types (tuples become lists)."""
     return json.loads(json.dumps(value))
+
+
+def _field_values(spec: Any) -> Dict[str, Any]:
+    """A flat spec dataclass's fields as a dict, in field order."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 @dataclass(frozen=True)
@@ -284,16 +289,34 @@ class RunSpec:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
+    def _plain_dict(self) -> Dict[str, Any]:
+        """The fields as nested plain containers, schema-tagged.
+
+        Everything :meth:`to_dict` holds except the backend, in the same
+        key order, built by an explicit field mapping (no deep copy);
+        tuples stay tuples, which JSON renders as arrays.
+        """
+        return {
+            "protocol": _field_values(self.protocol),
+            "cluster": _field_values(self.cluster),
+            "schedule": _field_values(self.schedule),
+            "variant": _field_values(self.variant),
+            "scenarios": [{"type": s.type, "params": s.params}
+                          for s in self.scenarios],
+            "n_rounds": self.n_rounds,
+            "reducer": self.reducer,
+        }
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-native nested dict (schema-tagged, lossless).
 
         The default backend is omitted so specs written before the
         backend field existed round-trip byte-identically.
         """
-        data = asdict(self)
+        data = self._plain_dict()
+        if self.backend != "event":
+            data["backend"] = self.backend
         data["spec"] = RUNSPEC_SCHEMA
-        if data["backend"] == "event":
-            del data["backend"]
         return _json_canonical(data)
 
     @classmethod
@@ -352,8 +375,13 @@ class RunSpec:
         """
         digest = self.__dict__.get("_full_digest")
         if digest is None:
-            data = self.to_dict()
-            data.pop("backend", None)
+            # One dump of the plain fields gives the bytes of dumping
+            # to_dict() without its backend: tuples and lists render
+            # alike, and every dict key is a string (scenario params
+            # are JSON-canonical since construction), so sort_keys
+            # orders them as it would after a JSON round trip.
+            data = self._plain_dict()
+            data["spec"] = RUNSPEC_SCHEMA
             canonical = json.dumps(data, sort_keys=True,
                                    separators=(",", ":"))
             digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()

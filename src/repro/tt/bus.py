@@ -33,6 +33,8 @@ from ..sim.trace import Trace
 from .frames import Frame
 from .timebase import TimeBase
 
+_SLOT_DELIVER = int(EventPriority.SLOT_DELIVER)
+
 
 class Bus:
     """The TDMA broadcast medium."""
@@ -54,7 +56,9 @@ class Bus:
         self.fast_path = fast_path
         self._receivers: Dict[int, Any] = {}
         self._node_ids: Tuple[int, ...] = ()
+        # (node_id, controller.deliver) in ascending node order.
         self._ordered: Tuple[Tuple[int, Any], ...] = ()
+        self._delivers: Tuple[Any, ...] = ()
         self._all_valid: Dict[int, int] = {}
         # Online observability (repro.obs): instruments resolved once,
         # per-slot updates guarded by one cached boolean so disabled
@@ -80,7 +84,9 @@ class Bus:
         # Receiver-order caches, rebuilt on (rare) attach instead of on
         # every transmit.
         self._node_ids = tuple(sorted(self._receivers))
-        self._ordered = tuple((i, self._receivers[i]) for i in self._node_ids)
+        self._ordered = tuple((i, self._receivers[i].deliver)
+                              for i in self._node_ids)
+        self._delivers = tuple(deliver for _i, deliver in self._ordered)
         self._all_valid = {i: 1 for i in self._node_ids}
 
     @property
@@ -206,12 +212,9 @@ class Bus:
             causes=tuple(dict.fromkeys(causes)),
         )
 
-        delivery_at = self.timebase.delivery_time(round_index, slot)
         self.engine.schedule(
-            delivery_at, EventPriority.SLOT_DELIVER,
-            lambda: self._deliver(round_index, slot, sender_id, per_receiver),
-            description=f"deliver r{round_index} s{slot}",
-        )
+            self.timebase.delivery_time(round_index, slot), _SLOT_DELIVER,
+            lambda: self._deliver(round_index, slot, sender_id, per_receiver))
 
     def transmit_quiescent(self, round_index: int, slot: int,
                            sender: int, payload: Any) -> None:
@@ -236,26 +239,24 @@ class Bus:
                 validity=self._all_valid, causes=(),
             )
         self.engine.schedule(
-            self.timebase.delivery_time(round_index, slot),
-            EventPriority.SLOT_DELIVER,
-            lambda: self._deliver_batch(round_index, slot, sender, payload),
-        )
+            self.timebase.delivery_time(round_index, slot), _SLOT_DELIVER,
+            lambda: self._deliver_batch(round_index, slot, sender, payload))
 
+    # Deliveries call each controller's ``deliver``, bound at attach,
+    # with positional arguments: one call per frame and receiver is the
+    # bus's hottest path.
     def _deliver_batch(self, round_index: int, slot: int, sender: int,
                        payload: Any) -> None:
         now = self.engine.now
-        for _node_id, controller in self._ordered:
-            controller.deliver(sender=sender, round_index=round_index,
-                               slot=slot, valid=True, payload=payload,
-                               time=now)
+        for deliver in self._delivers:
+            deliver(sender, round_index, slot, True, payload, now)
 
     def _deliver(self, round_index: int, slot: int, sender: int,
                  per_receiver: Dict[int, Tuple[bool, Any]]) -> None:
-        for node_id, controller in self._ordered:
+        now = self.engine.now
+        for node_id, deliver in self._ordered:
             valid, payload = per_receiver[node_id]
-            controller.deliver(
-                sender=sender, round_index=round_index, slot=slot,
-                valid=valid, payload=payload, time=self.engine.now)
+            deliver(sender, round_index, slot, valid, payload, now)
 
 
 __all__ = ["Bus"]

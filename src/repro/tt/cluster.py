@@ -43,6 +43,12 @@ from .timebase import TimeBase
 #: The paper's prototype TDMA round length (automotive and aerospace).
 PAPER_ROUND_LENGTH = 2.5e-3
 
+# Plain-int priorities for the per-round events (the engine stores the
+# int either way; this skips the enum conversion on the hot path).
+_INJECTOR = int(EventPriority.INJECTOR)
+_SLOT_TRANSMIT = int(EventPriority.SLOT_TRANSMIT)
+_JOB = int(EventPriority.JOB)
+
 
 class Cluster:
     """A simulated time-triggered cluster.
@@ -159,7 +165,7 @@ class Cluster:
         self._ensure_started()
         target = self._rounds_driven + n_rounds
         horizon = self.timebase.round_start(target) - self._horizon_margin
-        self.engine.run_batch(until=horizon)
+        self.engine.run(until=horizon)
         self._rounds_driven = target
         if self.metrics is not None and self.metrics.enabled:
             self.metrics.counter("cluster.rounds_driven").inc(n_rounds)
@@ -167,7 +173,7 @@ class Cluster:
     def run_until(self, time: float) -> None:
         """Advance the simulation to absolute ``time`` (seconds)."""
         self._ensure_started()
-        self.engine.run_batch(until=time)
+        self.engine.run(until=time)
         self._rounds_driven = max(self._rounds_driven,
                                   self.timebase.round_of(self.engine.now))
 
@@ -186,6 +192,13 @@ class Cluster:
     def _ensure_started(self) -> None:
         if not self._started:
             self._started = True
+            # What a round's events need and what cannot change once the
+            # simulation runs (senders, controllers, node schedules) is
+            # resolved here once instead of in every round.
+            self._transmit_plan = [self._transmit_factory(slot)
+                                   for slot in range(1, self.n_nodes + 1)]
+            self._job_plan = [(node.schedule.params, self._job_factory(node))
+                              for node in self.nodes.values()]
             self.engine.schedule(0.0, EventPriority.INJECTOR,
                                  lambda: self._schedule_round(0),
                                  description="bootstrap round 0")
@@ -196,46 +209,50 @@ class Cluster:
 
     def _schedule_round(self, round_index: int) -> None:
         tb = self.timebase
+        schedule = self.engine.schedule
         # Transmissions: one per slot, at the slot start.
-        for slot in range(1, self.n_nodes + 1):
-            self.engine.schedule(
-                tb.slot_start(round_index, slot), EventPriority.SLOT_TRANSMIT,
-                self._make_transmit(round_index, slot),
-                description=f"tx r{round_index} s{slot}")
+        for start, make_transmit in zip(tb.slot_starts(round_index),
+                                        self._transmit_plan):
+            schedule(start, _SLOT_TRANSMIT, make_transmit(round_index))
         # Job executions: one batch per node, at the node's offset.
-        for node_id, node in self.nodes.items():
-            params = node.schedule.params(round_index)
-            self.engine.schedule(
-                tb.round_start(round_index) + params.offset, EventPriority.JOB,
-                self._make_job_exec(node, round_index),
-                description=f"jobs n{node_id} r{round_index}")
+        round_start = tb.round_start(round_index)
+        for params_of, make_job in self._job_plan:
+            schedule(round_start + params_of(round_index).offset, _JOB,
+                     make_job(round_index))
         # Lazily schedule the next round at its start.
-        self.engine.schedule(
-            tb.round_start(round_index + 1), EventPriority.INJECTOR,
-            lambda: self._schedule_round(round_index + 1),
-            description=f"schedule round {round_index + 1}")
+        schedule(tb.round_start(round_index + 1), _INJECTOR,
+                 lambda: self._schedule_round(round_index + 1))
 
-    def _make_transmit(self, round_index: int, slot: int) -> Callable[[], None]:
+    def _transmit_factory(self, slot: int) -> Callable[[int], Callable[[], None]]:
         sender = self.schedule.sender_of_slot(slot)
         controller = self.nodes[sender].controller
         bus = self.bus
 
-        def transmit() -> None:
-            if controller.tx_enabled:
-                # transmit_latched only materialises a Frame if the
-                # transmission leaves the quiescent fast path.
-                bus.transmit_latched(round_index, slot, sender,
-                                     controller.build_payload())
-            else:
-                bus.transmit(round_index, slot, None)
+        def make(round_index: int) -> Callable[[], None]:
+            def transmit() -> None:
+                if controller.tx_enabled:
+                    # transmit_latched only materialises a Frame if the
+                    # transmission leaves the quiescent fast path.
+                    bus.transmit_latched(round_index, slot, sender,
+                                         controller.build_payload())
+                else:
+                    bus.transmit(round_index, slot, None)
 
-        return transmit
+            return transmit
 
-    def _make_job_exec(self, node: Node, round_index: int) -> Callable[[], None]:
-        def execute() -> None:
-            node.execute_jobs(round_index, self.engine.now)
+        return make
 
-        return execute
+    def _job_factory(self, node: Node) -> Callable[[int], Callable[[], None]]:
+        execute_jobs = node.execute_jobs
+        engine = self.engine
+
+        def make(round_index: int) -> Callable[[], None]:
+            def execute() -> None:
+                execute_jobs(round_index, engine.now)
+
+            return execute
+
+        return make
 
 
 __all__ = ["Cluster", "PAPER_ROUND_LENGTH"]

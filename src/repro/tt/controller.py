@@ -22,7 +22,8 @@ schedule.  This module implements that abstraction:
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..sim.trace import Trace
 
@@ -46,6 +47,9 @@ class SenderStatus(enum.Enum):
     IGNORED = "ignored"
 
 
+_IGNORED = SenderStatus.IGNORED
+
+
 class CommunicationController:
     """Per-node controller holding interface variables and validity bits."""
 
@@ -59,8 +63,9 @@ class CommunicationController:
         self._rounds_sent: List[Optional[int]] = [None] * (n_nodes + 1)
         self._status: List[SenderStatus] = [SenderStatus.ACTIVE] * (n_nodes + 1)
         self._collision: Dict[int, bool] = {}
-        self._history: Dict[int, List[Any]] = {
-            i: [] for i in range(1, n_nodes + 1)}
+        # Receive history: the last four deliveries per sender.
+        self._history: Dict[int, Deque[Tuple[int, int, Any]]] = {
+            i: deque(maxlen=4) for i in range(1, n_nodes + 1)}
         self._out_buffers: Dict[str, Any] = {}
         self.tx_enabled: bool = True
         self._delivery_listeners: List[Any] = []
@@ -104,29 +109,32 @@ class CommunicationController:
     # ------------------------------------------------------------------
     def deliver(self, sender: int, round_index: int, slot: int,
                 valid: bool, payload: Any, time: float = 0.0) -> None:
-        """Latch one slot's frame (called by the bus at delivery time)."""
+        """Latch one slot's frame (called by the bus at delivery time).
+
+        The bus calls it once per frame and receiver, with positional
+        arguments; keyword calls work the same.
+        """
         if sender == self.node_id:
             # Local collision detection: could our own frame be read
             # back from the bus?
             self._collision[round_index] = valid
-        if self._status[sender] is SenderStatus.IGNORED:
+        if self._status[sender] is _IGNORED:
             valid = False
-        self._validity[sender] = 1 if valid else 0
-        if valid:
-            self._values[sender] = payload
-            self._rounds_sent[sender] = round_index
-        # Double-buffered receive history (last two rounds per sender).
+        # The receive history (the deque keeps the last four entries).
         # Real TT controllers expose equivalent status information (the
         # CNI reports the update instant of each interface variable);
         # the protocol only needs it under *dynamic* node scheduling,
         # where the application-level read-alignment buffer alone
         # cannot always reconstruct the previous round (the job's read
         # point may skip over a delivery when l_i grows between rounds).
-        history = self._history[sender]
-        history.append((round_index, 1 if valid else 0,
-                        payload if valid else None))
-        if len(history) > 4:
-            history.pop(0)
+        if valid:
+            self._validity[sender] = 1
+            self._values[sender] = payload
+            self._rounds_sent[sender] = round_index
+            self._history[sender].append((round_index, 1, payload))
+        else:
+            self._validity[sender] = 0
+            self._history[sender].append((round_index, 0, None))
         for listener in self._delivery_listeners:
             listener(sender=sender, round_index=round_index, slot=slot,
                      valid=valid, payload=payload if valid else None,
@@ -148,16 +156,26 @@ class CommunicationController:
         """Snapshot of the interface variables, 1-based (index 0 = None).
 
         With a ``channel``, each sender's entry is that channel's value
-        from the sender's last valid frame.
+        from the sender's last valid frame (:meth:`channel_of`).
         """
         if channel is None:
             return list(self._values)
-        return [None if v is None else self.channel_of(v, channel)
-                for v in self._values]
+        return [None] + self.read_channel(channel)[0]
 
     def read_validity(self) -> List[int]:
         """Snapshot of the validity bits, 1-based (index 0 = 0)."""
         return list(self._validity)
+
+    def read_channel(self, channel: str) -> Tuple[List[Any], List[int]]:
+        """One channel's values and the validity bits, both 0-based.
+
+        Entry ``j-1`` belongs to sender ``j``: the same values as
+        ``read_interface(channel)[1:]`` and ``read_validity()[1:]``,
+        read in one call (the diagnostic job's per-round input).
+        """
+        return ([v.get(channel) if isinstance(v, dict) else v
+                 for v in self._values[1:]],
+                self._validity[1:])
 
     def read_delivery(self, sender: int, round_index: int):
         """The buffered delivery of ``sender``'s slot in ``round_index``.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 #: Tolerance used when mapping continuous times to slot indices; well
 #: below any slot length used in practice.
@@ -81,6 +81,15 @@ class TimeBase:
         self.round_length = float(round_length)
         self.slot_length = self.round_length / n_slots
         self.tx_fraction = float(tx_fraction)
+        # Per-slot offsets from the round start.  Every slot time is
+        # ``round_index * round_length + offset`` (slot_start,
+        # slot_starts, delivery_time), so all callers get the same
+        # floats however they ask.
+        self._slot_offsets = tuple((slot - 1) * self.slot_length
+                                   for slot in range(1, n_slots + 1))
+        self._delivery_offsets = tuple(
+            ((slot - 1) + self.tx_fraction) * self.slot_length
+            for slot in range(1, n_slots + 1))
 
     # ------------------------------------------------------------------
     # Time -> coordinates
@@ -108,13 +117,18 @@ class TimeBase:
         This is the instant the frame is placed on the bus.
         """
         self._check_slot(slot)
-        return round_index * self.round_length + (slot - 1) * self.slot_length
+        return round_index * self.round_length + self._slot_offsets[slot - 1]
+
+    def slot_starts(self, round_index: int) -> List[float]:
+        """:meth:`slot_start` of slots ``1..N`` of one round, in order."""
+        base = round_index * self.round_length
+        return [base + offset for offset in self._slot_offsets]
 
     def delivery_time(self, round_index: int, slot: int) -> float:
         """Instant receivers latch the frame of the given slot."""
         self._check_slot(slot)
         return (round_index * self.round_length
-                + ((slot - 1) + self.tx_fraction) * self.slot_length)
+                + self._delivery_offsets[slot - 1])
 
     def slot_end(self, round_index: int, slot: int) -> float:
         """End time of slot ``slot`` in round ``round_index``."""

@@ -221,6 +221,9 @@ def test_campaign_run_rejects_unknown_source(capsys):
     (["campaign", "run", "rare-events", "--reps", "-2", "--no-store"],
      "has no tasks"),
     (["results", "render", "rare-events", "--reps", "0"], "has no tasks"),
+    (["spec", "validate", "--reps", "1001"], "must be in 1..1000"),
+    (["campaign", "run", "validate", "--nodes", "65", "--no-store"],
+     "must be in 2..64"),
 ])
 def test_bad_campaign_knobs_exit_2(capsys, monkeypatch, tmp_path, argv,
                                   needle):

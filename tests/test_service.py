@@ -119,6 +119,10 @@ class TestParseJobRequest:
         ({"campaign": "validate", "reps": -1}, "has no tasks"),
         ({"campaign": "rare-events", "reps": 0}, "has no tasks"),
         ({"campaign": "rare-events", "reps": -2}, "has no tasks"),
+        # Knobs above their range are refused before any spec is built.
+        ({"campaign": "rare-events", "reps": 1001}, r"must be in 1\.\.1000"),
+        ({"campaign": "validate", "reps": 1001}, r"must be in 1\.\.1000"),
+        ({"campaign": "validate", "nodes": 65}, r"must be in 2\.\.64"),
     ])
     def test_bad_requests_are_client_errors(self, body, needle):
         with pytest.raises(BadRequestError, match=needle):

@@ -7,6 +7,7 @@ and byte-identity between ``GET .../result`` and the documents
 ``repro-diag campaign run --out`` writes.
 """
 
+import asyncio
 import contextlib
 import json
 import threading
@@ -16,6 +17,7 @@ import urllib.request
 
 import pytest
 
+import repro.service.app as app_module
 import repro.service.jobs as jobs_module
 from repro.campaign import result_document, run_campaign
 from repro.obs.export import render_json
@@ -73,6 +75,29 @@ def _wait_done(url, job_id, timeout=30.0):
             return detail
         assert time.monotonic() < deadline, "job never finished"
         time.sleep(0.02)
+
+
+def test_submission_is_parsed_off_the_event_loop(tmp_path, monkeypatch):
+    # Parsing builds and digests every spec of a submission; on the
+    # loop's thread it would stall every other request meanwhile.
+    parse = app_module.parse_job_request
+    on_loop = []
+
+    def recording_parse(data):
+        try:
+            asyncio.get_running_loop()
+            on_loop.append(True)
+        except RuntimeError:
+            on_loop.append(False)
+        return parse(data)
+
+    monkeypatch.setattr(app_module, "parse_job_request", recording_parse)
+    with _serve(tmp_path) as (url, _manager):
+        status, _created = _post_job(url, _spec().to_dict())
+        assert status == 201
+        status, error = _post_job(url, {"campaign": "nope"})
+        assert status == 400 and "unknown campaign" in error["error"]
+    assert on_loop == [False, False]
 
 
 class TestHappyPath:

@@ -6,6 +6,8 @@ stable content address, and ``build``/``execute`` assemble exactly the
 cluster a hand-wired experiment would.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -244,6 +246,73 @@ class TestRunSpecRoundTrip:
                  for seed in range(20) for rounds in (8, 9)]
         digests = {spec.full_digest() for spec in specs}
         assert len(digests) == len(specs)
+
+
+def _round_trip_digest(spec):
+    """full_digest as the JSON round trip defines it (the reference)."""
+    data = spec.to_dict()
+    data.pop("backend", None)
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _asdict_form(spec):
+    """to_dict as the recursive dataclass copy defines it (the reference)."""
+    data = dataclasses.asdict(spec)
+    data["spec"] = RUNSPEC_SCHEMA
+    if data["backend"] == "event":
+        del data["backend"]
+    return json.loads(json.dumps(data))
+
+
+def _codec_specs():
+    from repro.campaign import build_campaign
+
+    specs = [RunSpec(protocol=_protocol(), variant=variant, n_rounds=10)
+             for variant in _variant_matrix()]
+    specs += [RunSpec(protocol=_protocol(), scenarios=scenarios, n_rounds=12,
+                      reducer="summary", backend="vectorized")
+              for scenarios in _scenario_matrix()]
+    for name, knobs in (("validate", {"reps": 1}), ("table2", {}),
+                        ("rare-events", {"reps": 2, "seed": 3})):
+        specs += [spec for _label, spec in
+                  build_campaign(name, **knobs).labeled_specs]
+    return specs
+
+
+class TestSpecCodec:
+    """to_dict and full_digest build their JSON in one pass; these pin
+    them to the reference forms (recursive copy + JSON round trip)."""
+
+    def test_to_dict_matches_the_recursive_copy(self):
+        for spec in _codec_specs():
+            data = spec.to_dict()
+            assert data == _asdict_form(spec)
+            assert list(data) == list(_asdict_form(spec))
+
+    def test_full_digest_matches_the_round_trip(self):
+        for spec in _codec_specs():
+            assert spec.full_digest() == _round_trip_digest(spec)
+
+    def test_int_keyed_params_digest_like_the_round_trip(self):
+        # sort_keys orders int keys numerically (2 < 10) but their JSON
+        # strings lexically ("10" < "2"); params are canonicalised when
+        # the ScenarioSpec is built, so the one-pass digest agrees.
+        params = {"round_index": 3, "slot": 1, "n_slots": 1,
+                  "extra": {2: "two", 10: "ten", 1: {3: 0, 20: 1}}}
+        spec = RunSpec(protocol=_protocol(),
+                       scenarios=(ScenarioSpec("SlotBurst", params),),
+                       n_rounds=5)
+        assert spec.scenarios[0].params["extra"] == {
+            "2": "two", "10": "ten", "1": {"3": 0, "20": 1}}
+        assert spec.full_digest() == _round_trip_digest(spec)
+        assert RunSpec.from_dict(spec.to_dict()).full_digest() == \
+            spec.full_digest()
+
+    def test_to_dict_names_every_field(self):
+        names = {f.name for f in dataclasses.fields(RunSpec)}
+        data = RunSpec(protocol=_protocol(), backend="vectorized").to_dict()
+        assert set(data) == names | {"spec"}
 
 
 class TestBuild:
