@@ -4,14 +4,19 @@ Not a paper artefact — this measures the reproduction substrate itself
 so regressions in the discrete-event engine or the protocol hot path
 are visible: simulated rounds per second for growing cluster sizes,
 with the full diagnostic stack running on every node, plus a
-sustained-fault point comparing the bitset analysis plane against the
-tuple reference plane (same traces, different representation).
+sustained-fault point: whole-cluster rounds/s under a never-isolated
+crash, and the packed analysis of that fault's matrix timed against
+the Eqn. 1 reference (tuple matrix + ``h_maj_explain``), which the
+services no longer run.
 
+Every point names its workload; the document names the host it ran on.
 ``REPRO_BENCH_ROUNDS`` scales the per-point round count down for smoke
 runs (CI uses 50; the default 200 is the tracked-artefact setting).
 """
 
 import os
+import platform
+import statistics
 import tempfile
 import time
 
@@ -19,8 +24,11 @@ from conftest import emit, emit_json
 
 from repro.analysis.reporting import render_table
 from repro.campaign import campaign_tasks, run_campaign, validation_campaign
+from repro.core.bitmatrix import BitDiagnosticMatrix
 from repro.core.config import uniform_config
 from repro.core.service import DiagnosedCluster
+from repro.core.syndrome import EPSILON, DiagnosticMatrix
+from repro.core.voting import h_maj_explain
 from repro.faults.scenarios import crash
 from repro.spec import ClusterSpec, ProtocolSpec, RunSpec, ScenarioSpec
 from repro.spec.build import build
@@ -33,6 +41,11 @@ ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", "200"))
 #: smaller points track the substrate overheads.
 POINTS = (4, 8, 16, 32, 64)
 SUSTAINED_N = 16
+SUSTAINED_WORKLOAD = "crash(2) never isolated; one ε row per matrix"
+#: The analysis face-off: median of ANALYSIS_REPEATS timings, each
+#: averaging ANALYSIS_LOOPS analyses of the sustained-fault matrix.
+ANALYSIS_REPEATS = 7
+ANALYSIS_LOOPS = 200
 
 #: Backend face-off points: N=64 carries the tracked >=10x acceptance
 #: target for the vectorized round kernel.
@@ -46,11 +59,10 @@ MONTE_CARLO_REPLICATES = 1000
 GILBERT_ELLIOTT_N = 16
 
 
-def run_cluster(n_nodes: int, bitset: bool = True,
-                sustained_fault: bool = False) -> None:
+def run_cluster(n_nodes: int, sustained_fault: bool = False) -> None:
     config = uniform_config(n_nodes, penalty_threshold=10 ** 6,
                             reward_threshold=10 ** 6)
-    dc = DiagnosedCluster(config, seed=0, trace_level=0, bitset=bitset)
+    dc = DiagnosedCluster(config, seed=0, trace_level=0)
     if sustained_fault:
         # A never-isolated crashed sender keeps one ε row in every
         # matrix, defeating the uniform shortcut: every round runs the
@@ -66,6 +78,68 @@ def _rounds_per_s(n_nodes: int, **kwargs) -> float:
     return ROUNDS / (time.perf_counter() - start)
 
 
+def _crash_matrix_rows(n_nodes: int) -> list:
+    """The matrix a never-isolated crash of node 2 leaves every round:
+    row 2 is ε and every other row accuses node 2 alone."""
+    accusing = tuple(0 if j == 2 else 1 for j in range(1, n_nodes + 1))
+    return [EPSILON if i == 2 else accusing for i in range(1, n_nodes + 1)]
+
+
+def _reference_analysis(rows: list) -> list:
+    matrix = DiagnosticMatrix.from_rows(rows)
+    return [h_maj_explain(matrix.column(j))[0]
+            for j in range(1, matrix.n_nodes + 1)]
+
+
+def _packed_analysis(rows: list) -> list:
+    return list(BitDiagnosticMatrix.from_rows(rows).analyse()[0])
+
+
+def _analysis_us(analyse, rows: list) -> dict:
+    """Median and IQR, in µs per analysis including matrix construction."""
+    samples = []
+    for _ in range(ANALYSIS_REPEATS):
+        start = time.perf_counter()
+        for _ in range(ANALYSIS_LOOPS):
+            analyse(rows)
+        samples.append((time.perf_counter() - start) / ANALYSIS_LOOPS * 1e6)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median": round(median, 1), "iqr": round(q3 - q1, 1)}
+
+
+def _sustained_fault_point() -> dict:
+    """Whole-cluster rounds/s under the sustained fault, plus the packed
+    analysis of its matrix against the Eqn. 1 reference."""
+    rows = _crash_matrix_rows(SUSTAINED_N)
+    assert _packed_analysis(rows) == _reference_analysis(rows)
+    reference = _analysis_us(_reference_analysis, rows)
+    packed = _analysis_us(_packed_analysis, rows)
+    return {
+        "n_nodes": SUSTAINED_N, "rounds": ROUNDS,
+        "workload": SUSTAINED_WORKLOAD,
+        "rounds_per_s": round(_rounds_per_s(
+            SUSTAINED_N, sustained_fault=True), 1),
+        "analysis_repeats": ANALYSIS_REPEATS,
+        "reference_analysis_us": reference,
+        "packed_analysis_us": packed,
+        "speedup": round(reference["median"] / packed["median"], 2),
+    }
+
+
+def _host() -> dict:
+    """The machine a run measured: CPU model, core count, Python."""
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            cpu = next((line.split(":", 1)[1].strip() for line in info
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"cpu": cpu or "unknown", "cpus": os.cpu_count(),
+            "system": f"{platform.system()} {platform.machine()}",
+            "python": platform.python_version()}
+
+
 def test_throughput_n4(benchmark):
     benchmark(run_cluster, 4)
 
@@ -76,6 +150,9 @@ def test_throughput_n8(benchmark):
 
 def test_throughput_n16(benchmark):
     benchmark(run_cluster, 16)
+
+
+BACKEND_WORKLOAD = "benign SenderFault of node 2 from round 2, never isolated"
 
 
 def _backend_spec(n_nodes: int) -> RunSpec:
@@ -137,6 +214,7 @@ def _backend_points() -> dict:
         event = _event_rounds_per_s(spec)
         vectorized = _vectorized_rounds_per_s(spec)
         points.append({"n_nodes": n, "rounds": ROUNDS,
+                       "workload": BACKEND_WORKLOAD,
                        "event_rounds_per_s": round(event, 1),
                        "vectorized_rounds_per_s": round(vectorized, 1),
                        "speedup": round(vectorized / event, 2)})
@@ -152,6 +230,7 @@ def _backend_points() -> dict:
     event_replicate_s = time.perf_counter() - start
     monte_carlo = {
         "n_nodes": MONTE_CARLO_N,
+        "workload": BACKEND_WORKLOAD,
         "replicates": MONTE_CARLO_REPLICATES,
         "rounds_per_replicate": ROUNDS,
         "batch_s": round(batch_s, 3),
@@ -165,6 +244,7 @@ def _backend_points() -> dict:
     ge_vectorized = _vectorized_rounds_per_s(ge_spec)
     gilbert_elliott = {
         "n_nodes": GILBERT_ELLIOTT_N, "rounds": ROUNDS,
+        "workload": "Gilbert-Elliott channel bursts",
         "p_gb": 0.1, "p_bg": 0.5,
         "event_rounds_per_s": round(ge_event, 1),
         "vectorized_rounds_per_s": round(ge_vectorized, 1),
@@ -202,6 +282,7 @@ def _campaign_cache_point() -> dict:
     assert cold.misses == len(definition.labeled_specs)
     assert warm.hits == len(definition.labeled_specs)
     return {
+        "workload": "validate campaign, 1 repetition",
         "tasks": len(definition.labeled_specs),
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
@@ -236,6 +317,7 @@ def _dispatch_point() -> dict:
     remote_s = _timed(lambda: run_campaign(labeled, jobs=2,
                                            dispatch="remote-stub"))
     return {
+        "workload": "validate campaign, 1 repetition",
         "tasks": len(labeled),
         "jobs": DISPATCH_JOBS,
         "repeats": DISPATCH_REPEATS,
@@ -323,6 +405,7 @@ def _service_point() -> dict:
     executed = counters["service.created"]
     assert executed == 2, counters
     return {
+        "workload": f"one N=4 spec: {BACKEND_WORKLOAD}",
         "rounds": spec.n_rounds,
         "cold_s": round(cold_s, 4),
         "warm_requests": SERVICE_WARM_REQUESTS,
@@ -342,19 +425,10 @@ def test_throughput_summary(benchmark):
         for n in POINTS:
             rps = _rounds_per_s(n)
             points.append({"n_nodes": n, "rounds": ROUNDS,
+                           "workload": "fault-free",
                            "rounds_per_s": round(rps, 1),
                            "slots_per_s": round(rps * n, 1)})
-        sustained = {
-            "n_nodes": SUSTAINED_N, "rounds": ROUNDS,
-            "scenario": "crash(2) never isolated; one ε row per matrix",
-            "tuple_rounds_per_s": round(_rounds_per_s(
-                SUSTAINED_N, bitset=False, sustained_fault=True), 1),
-            "bitset_rounds_per_s": round(_rounds_per_s(
-                SUSTAINED_N, bitset=True, sustained_fault=True), 1),
-        }
-        sustained["speedup"] = round(
-            sustained["bitset_rounds_per_s"]
-            / sustained["tuple_rounds_per_s"], 2)
+        sustained = _sustained_fault_point()
         backends = _backend_points() if NUMPY_AVAILABLE else None
         return (points, sustained, _campaign_cache_point(),
                 _dispatch_point(), _service_point(), backends)
@@ -365,8 +439,8 @@ def test_throughput_summary(benchmark):
              f"{p['rounds_per_s']:,.0f} rounds/s",
              f"{p['slots_per_s']:,.0f} slots/s") for p in points]
     rows.append((f"{SUSTAINED_N} (faulty)", ROUNDS,
-                 f"{sustained['bitset_rounds_per_s']:,.0f} rounds/s",
-                 f"{sustained['speedup']}x vs tuple plane"))
+                 f"{sustained['rounds_per_s']:,.0f} rounds/s",
+                 f"analysis {sustained['speedup']}x vs Eqn. 1 reference"))
     rows.append(("campaign (warm)", campaign_cache["tasks"],
                  f"{campaign_cache['warm_tasks_per_s']:,.0f} tasks/s",
                  f"{campaign_cache['speedup']}x vs cold"))
@@ -402,7 +476,10 @@ def test_throughput_summary(benchmark):
         rows, title="Substrate throughput (full diagnostic stack)"))
     document = {
         "benchmark": "simulator_throughput",
-        "config": {"trace_level": 0, "fault_free": True,
+        "host": _host(),
+        # ``points_fault_free`` describes ``points`` only; every other
+        # block names its own workload.
+        "config": {"trace_level": 0, "points_fault_free": True,
                    "rounds_per_point": ROUNDS},
         "points": points,
         "sustained_fault": sustained,

@@ -13,7 +13,8 @@ each node as an add-on, application-level module.  Once per round it:
    whose validity bit is 0 (or whose sender is isolated, or whose
    payload is malformed) to the error value ε.
 4. **Analysis** — computes the consistent health vector by hybrid
-   majority voting over the matrix columns; when no external syndrome
+   majority voting over the matrix columns, on the packed bitmask
+   plane (:mod:`repro.core.bitmatrix`); when no external syndrome
    survives (communication blackout, Lemma 3) it falls back on the
    local collision detector for itself and on its own buffered local
    syndrome for the other nodes.
@@ -41,9 +42,8 @@ from .alignment import diagnosed_round, read_align, select_dissemination
 from .bitmatrix import AnalysisCache, BitDiagnosticMatrix, pack_syndrome_cached
 from .config import IsolationMode, ProtocolConfig
 from .penalty_reward import PenaltyRewardState
-from .syndrome import (EPSILON, DiagnosticMatrix, Row, intern_syndrome,
-                       is_valid_syndrome, parse_tagged_syndrome)
-from .voting import BOTTOM, h_maj, h_maj_explain
+from .syndrome import (EPSILON, Row, intern_syndrome, is_valid_syndrome,
+                       parse_tagged_syndrome)
 
 #: Trace verbosity: 0 = decisions only, 1 = + health vectors containing
 #: faults, 2 = everything (syndromes, all health vectors, counters).
@@ -78,16 +78,11 @@ class DiagnosticService:
         service counts votes, Eqn. 1 branch outcomes, health-vector
         transitions, isolations and reintegrations online (independent
         of ``trace_level``).
-    bitset:
-        Run the analysis phase on the packed bitmask representation
-        (:mod:`repro.core.bitmatrix`) with per-round memoisation —
-        bit-identical to the tuple path (pinned by the differential
-        fuzz); disable only to exercise the reference semantics.
     analysis_cache:
         Optional :class:`~repro.core.bitmatrix.AnalysisCache` shared by
         all services of one cluster so identical matrices are analysed
         once per round cluster-wide; a private cache is created when
-        omitted and ``bitset`` is on.
+        omitted.
     """
 
     def __init__(self, config: ProtocolConfig, node: Node, trace: Trace,
@@ -95,7 +90,6 @@ class DiagnosticService:
                  on_isolation: Optional[IsolationCallback] = None,
                  trace_level: int = TRACE_ALL,
                  metrics: Optional[Any] = None,
-                 bitset: bool = True,
                  analysis_cache: Optional[AnalysisCache] = None) -> None:
         if config.n_nodes != node.controller.n_nodes:
             raise ValueError("config.n_nodes does not match the cluster size")
@@ -132,14 +126,10 @@ class DiagnosticService:
         # Extension hook (reintegration policy etc.).
         self.post_update_hooks: List[Callable[["DiagnosticService", List[int], int], None]] = []
         self._last_analysis_round: Optional[int] = None
-        self._last_matrix: Optional[DiagnosticMatrix] = None
+        self._last_matrix: Optional[BitDiagnosticMatrix] = None
         self._now: float = 0.0
-        # Bitset analysis plane (on by default; tuple path kept as the
-        # reference semantics and escape hatch).
-        self._bitset = bool(bitset)
-        if self._bitset and analysis_cache is None:
-            analysis_cache = AnalysisCache(metrics)
-        self._analysis_cache = analysis_cache if self._bitset else None
+        self._analysis_cache = (analysis_cache if analysis_cache is not None
+                                else AnalysisCache(metrics))
         # Online observability: instruments resolved once, updates
         # guarded by one cached boolean on the per-round paths.
         self.metrics = metrics
@@ -323,7 +313,8 @@ class DiagnosticService:
     # ------------------------------------------------------------------
     # Phase 4 — analysis
     # ------------------------------------------------------------------
-    def _build_matrix(self, al_dm: List[Any], al_ls: List[int]):
+    def _build_matrix(self, al_dm: List[Any],
+                      al_ls: List[int]) -> BitDiagnosticMatrix:
         """Aggregation: the diagnostic matrix with ε rows filled in."""
         n = self.config.n_nodes
         if 0 not in al_ls and 0 not in self.active:
@@ -331,44 +322,30 @@ class DiagnosticService:
             # active and valid, and (thanks to syndrome interning at
             # dissemination) all received syndromes are the same tuple
             # object.  The resulting matrix is exactly what the loop
-            # below would build — all rows are ``tuple(al_dm[m-1])``,
-            # which for a tuple input is the object itself — plus the
-            # uniform marker that lets the analysis skip the vote.
+            # below would build — every row packs the same syndrome —
+            # plus the uniform marker that lets the analysis skip the
+            # vote.
             row0 = al_dm[0]
             if (type(row0) is tuple and len(row0) == n
                     and all(r is row0 for r in al_dm)
                     and row0.count(0) + row0.count(1) == n):
-                matrix = (BitDiagnosticMatrix.uniform(n, row0)
-                          if self._bitset else
-                          DiagnosticMatrix.uniform(n, row0))
+                matrix = BitDiagnosticMatrix.uniform(n, row0)
                 self._last_matrix = matrix
                 return matrix
-        if self._bitset:
-            bit_matrix = BitDiagnosticMatrix(n)
-            for m in range(1, n + 1):
-                if (al_ls[m - 1] == 0 or self.active[m - 1] == 0
-                        or not is_valid_syndrome(al_dm[m - 1], n)):
-                    continue  # row stays ε
-                bit_matrix.set_row_bits(
-                    m, pack_syndrome_cached(tuple(al_dm[m - 1])))
-            self._last_matrix = bit_matrix
-            return bit_matrix
-        matrix = DiagnosticMatrix(n)
+        matrix = BitDiagnosticMatrix(n)
         for m in range(1, n + 1):
-            row: Row
-            if al_ls[m - 1] == 0 or self.active[m - 1] == 0:
-                row = EPSILON
-            elif not is_valid_syndrome(al_dm[m - 1], n):
-                # Garbage from a non-obedient node that still passed the
-                # controller's checks: no usable opinion.
-                row = EPSILON
-            else:
-                row = tuple(al_dm[m - 1])
-            matrix.set_row(m, row)
+            # An invalid or isolated sender's row stays ε, and so does
+            # garbage from a non-obedient node that still passed the
+            # controller's checks: no usable opinion.
+            if (al_ls[m - 1] == 0 or self.active[m - 1] == 0
+                    or not is_valid_syndrome(al_dm[m - 1], n)):
+                continue
+            matrix.set_row_bits(m, pack_syndrome_cached(tuple(al_dm[m - 1])))
         self._last_matrix = matrix
         return matrix
 
-    def _build_tagged_matrix(self, controller, d_round: int, k: int):
+    def _build_tagged_matrix(self, controller, d_round: int,
+                             k: int) -> BitDiagnosticMatrix:
         """Aggregation for the dynamic variant: match syndromes by tag.
 
         Scans each sender's buffered deliveries of rounds ``k-1`` and
@@ -377,8 +354,7 @@ class DiagnosticService:
         malformed payload, isolated sender) contributes ε.
         """
         n = self.config.n_nodes
-        matrix = (BitDiagnosticMatrix(n) if self._bitset
-                  else DiagnosticMatrix(n))
+        matrix = BitDiagnosticMatrix(n)
         for m in range(1, n + 1):
             row: Row = EPSILON
             if self.active[m - 1]:
@@ -407,16 +383,15 @@ class DiagnosticService:
                    for _ in range(self.config.n_nodes)]
         controller.write_interface((about_round, tuple(out)))
 
-    def _analyse(self, controller, matrix: DiagnosticMatrix,
+    def _analyse(self, controller, matrix: BitDiagnosticMatrix,
                  d_round: int, k: int) -> List[int]:
         if self._timing_on:
             with self.metrics.timer("diag.analysis"):
                 return self._analyse_impl(controller, matrix, d_round, k)
         return self._analyse_impl(controller, matrix, d_round, k)
 
-    def _analyse_impl(self, controller, matrix: DiagnosticMatrix,
+    def _analyse_impl(self, controller, matrix: BitDiagnosticMatrix,
                       d_round: int, k: int) -> List[int]:
-        n = self.config.n_nodes
         m_on = self._m_on
         uniform = matrix.uniform_row()
         if uniform is not None:
@@ -428,30 +403,8 @@ class DiagnosticService:
                 self._m_analysis_rounds.inc()
                 self._m_uniform_rounds.inc()
                 self._m_eps_rows.observe(0)
-        elif self._bitset:
-            cons_hv = self._analyse_bitset(controller, matrix, d_round)
-        elif m_on:
-            self._m_analysis_rounds.inc()
-            self._m_hmaj_calls.inc(n)
-            self._m_eps_rows.observe(matrix.epsilon_rows())
-            cons_hv = []
-            for j in range(1, n + 1):
-                diag, reason = h_maj_explain(matrix.column(j))
-                if reason == "majority":
-                    self._m_hmaj_majority.inc()
-                elif reason == "bottom":
-                    self._m_hmaj_bottom.inc()
-                    diag = self._bottom_fallback(controller, j, d_round)
-                else:
-                    self._m_hmaj_default.inc()
-                cons_hv.append(diag)
         else:
-            cons_hv = []
-            for j in range(1, n + 1):
-                diag = h_maj(matrix.column(j))
-                if diag is BOTTOM:
-                    diag = self._bottom_fallback(controller, j, d_round)
-                cons_hv.append(diag)
+            cons_hv = self._analyse_votes(controller, matrix, d_round)
         if m_on:
             prev = self._prev_cons_hv
             if prev is not None and prev != cons_hv:
@@ -465,15 +418,14 @@ class DiagnosticService:
                               diagnosed_round=d_round, cons_hv=tuple(cons_hv))
         return cons_hv
 
-    def _analyse_bitset(self, controller, matrix: BitDiagnosticMatrix,
-                        d_round: int) -> List[int]:
-        """Analysis on the packed plane with per-round memoisation.
+    def _analyse_votes(self, controller, matrix: BitDiagnosticMatrix,
+                       d_round: int) -> List[int]:
+        """Vote every column (Eqn. 1), memoised per round cluster-wide.
 
-        Counter-for-counter equivalent to the tuple loops in
-        :meth:`_analyse_impl`: the memoised entry carries the Eqn. 1
-        branch tallies, so cache hits meter exactly like a
-        recomputation would, and the ⊥ fallback — node-local by Lemma 3
-        — is applied per node *after* the shared lookup.
+        The memoised entry carries the Eqn. 1 branch tallies, so cache
+        hits meter exactly like a recomputation would, and the ⊥
+        fallback — node-local by Lemma 3 — is applied per node *after*
+        the shared lookup.
         """
         n = self.config.n_nodes
         cache = self._analysis_cache

@@ -38,8 +38,8 @@ from ..tt.node import Node
 from .config import IsolationMode, ProtocolConfig
 from .diagnostic import TRACE_ALL, TRACE_FAULTS
 from .penalty_reward import PenaltyRewardState
-from .syndrome import EPSILON, is_valid_syndrome
-from .voting import BOTTOM, h_maj, h_maj_counts
+from .syndrome import is_valid_syndrome
+from .voting import BOTTOM, h_maj_counts
 
 SlotKey = Tuple[int, int]
 
@@ -47,18 +47,15 @@ SlotKey = Tuple[int, int]
 class LowLatencyDiagnosticService:
     """Per-slot diagnosis with one-round detection latency (Sec. 10).
 
-    ``bitset`` (default on) keeps the per-slot report store as two
-    bitmasks per diagnosed slot — who reported, and their 0/1 votes —
-    and decides the verdict from popcount tallies; semantics (traces,
-    verdicts, views, counters) are bit-identical to the tuple/dict
-    reference path, pinned by the differential fuzz.
+    The per-slot report store holds two bitmasks per diagnosed slot —
+    who reported, and their 0/1 votes — and the verdict comes from
+    their popcount tallies (:func:`~repro.core.voting.h_maj_counts`).
     """
 
     def __init__(self, config: ProtocolConfig, node: Node, trace: Trace,
                  membership: bool = False,
                  trace_level: int = TRACE_ALL,
-                 metrics: Optional[Any] = None,
-                 bitset: bool = True) -> None:
+                 metrics: Optional[Any] = None) -> None:
         if config.n_nodes != node.controller.n_nodes:
             raise ValueError("config.n_nodes does not match the cluster size")
         self.config = config
@@ -67,7 +64,6 @@ class LowLatencyDiagnosticService:
         self.trace = trace
         self.trace_level = trace_level
         self.membership = membership
-        self._bitset = bool(bitset)
         self.metrics = metrics
         self._m_on = metrics is not None and metrics.enabled
         if self._m_on:
@@ -81,10 +77,7 @@ class LowLatencyDiagnosticService:
         self._window: List[int] = [1] * n
         #: Own validity observations per (round, slot), for fallbacks.
         self._vbits: Dict[SlotKey, int] = {}
-        #: External opinions per diagnosed (round, slot) per reporter
-        #: (tuple path only; the bitset path uses ``_report_masks``).
-        self._reports: Dict[SlotKey, Dict[int, int]] = {}
-        #: Bitset report store: ``[reporter_mask, ones_mask]`` per
+        #: External opinions: ``[reporter_mask, ones_mask]`` per
         #: diagnosed slot (bit ``m-1`` = reporter ``m``).
         self._report_masks: Dict[SlotKey, List[int]] = {}
         self.active: List[int] = [1] * n
@@ -119,23 +112,18 @@ class LowLatencyDiagnosticService:
         #    instance of slot s before this frame: round ``round_index``
         #    for s < slot, round ``round_index - 1`` for s >= slot.
         if valid and is_valid_syndrome(payload, n) and self.active[sender - 1]:
-            if self._bitset:
-                bit = 1 << (sender - 1)
-                masks_by_key = self._report_masks
-                for s in range(1, n + 1):
-                    r = round_index if s < slot else round_index - 1
-                    masks = masks_by_key.get((r, s))
-                    if masks is None:
-                        masks = masks_by_key[(r, s)] = [0, 0]
-                    masks[0] |= bit
-                    if payload[s - 1]:
-                        masks[1] |= bit
-                    else:
-                        masks[1] &= ~bit
-            else:
-                for s in range(1, n + 1):
-                    r = round_index if s < slot else round_index - 1
-                    self._reports.setdefault((r, s), {})[sender] = payload[s - 1]
+            bit = 1 << (sender - 1)
+            masks_by_key = self._report_masks
+            for s in range(1, n + 1):
+                r = round_index if s < slot else round_index - 1
+                masks = masks_by_key.get((r, s))
+                if masks is None:
+                    masks = masks_by_key[(r, s)] = [0, 0]
+                masks[0] |= bit
+                if payload[s - 1]:
+                    masks[1] |= bit
+                else:
+                    masks[1] &= ~bit
 
         # 3. Analyse the slot that just became fully reported:
         #    slot ``slot`` of the previous round.
@@ -155,25 +143,17 @@ class LowLatencyDiagnosticService:
         if target in self.verdicts:
             return
         r, s = target
-        n = self.config.n_nodes
-        if self._bitset:
-            # Two popcounts decide the slot: reporters minus the
-            # accused's self-opinion, split into 1 and 0 votes.
-            masks = self._report_masks.get(target)
-            voters = ones_mask = 0
-            if masks is not None:
-                voters = masks[0] & ~(1 << (s - 1))
-                ones_mask = masks[1]
-            ones = (ones_mask & voters).bit_count()
-            diag, _ = h_maj_counts(ones, voters.bit_count() - ones)
-            if self._m_on:
-                self._m_popcount_votes.inc()
-            reports = None
-        else:
-            reports = self._reports.get(target, {})
-            votes = [reports.get(m, EPSILON)
-                     for m in range(1, n + 1) if m != s]
-            diag = h_maj(votes)
+        # Two popcounts decide the slot: reporters minus the accused's
+        # self-opinion, split into 1 and 0 votes.
+        masks = self._report_masks.get(target)
+        voters = ones_mask = 0
+        if masks is not None:
+            voters = masks[0] & ~(1 << (s - 1))
+            ones_mask = masks[1]
+        ones = (ones_mask & voters).bit_count()
+        diag, _ = h_maj_counts(ones, voters.bit_count() - ones)
+        if self._m_on:
+            self._m_popcount_votes.inc()
         if diag is BOTTOM:
             if s == self.node_id:
                 diag = 1 if self.node.controller.collision_ok(r) else 0
@@ -188,10 +168,7 @@ class LowLatencyDiagnosticService:
                               diagnosed_round=r, slot=s, verdict=diag)
 
         if self.membership:
-            if self._bitset:
-                self._minority_accusations_bits(target, diag)
-            else:
-                self._minority_accusations(target, diag, reports)
+            self._minority_accusations(target, diag)
 
         # Penalty/reward per slot verdict.
         act = self.pr.update_single(s, faulty=(diag == 0))
@@ -207,27 +184,13 @@ class LowLatencyDiagnosticService:
             self._accused.discard(s)
             self._write_window()
 
-    def _minority_accusations(self, target: SlotKey, diag: int,
-                              reports: Dict[int, int]) -> None:
-        r, s = target
-        for reporter, vote in reports.items():
-            if reporter == s:
-                continue
-            if vote != diag and self.active[reporter - 1]:
-                if reporter not in self._accused:
-                    self._accused.add(reporter)
-                    self.trace.record(self._now, "clique", node=self.node_id,
-                                      diagnosed_round=r, slot=s,
-                                      accused=(reporter,))
-                    self._write_window()
-
-    def _minority_accusations_bits(self, target: SlotKey, diag: int) -> None:
-        """Bitset twin of :meth:`_minority_accusations`.
+    def _minority_accusations(self, target: SlotKey, diag: int) -> None:
+        """Accuse every active reporter whose vote on ``target`` lost.
 
         Reporters are visited in frame-delivery order for the diagnosed
         slot — senders ``s+1..N`` (frames of round ``r``) then ``1..s``
-        (frames of round ``r+1``) — which is exactly the tuple path's
-        dict insertion order, keeping accusation traces byte-identical.
+        (frames of round ``r+1``) — so accusation traces follow the
+        order in which the reports arrived.
         """
         masks = self._report_masks.get(target)
         if masks is None:
@@ -269,7 +232,7 @@ class LowLatencyDiagnosticService:
         # Working stores are bounded to the pipeline depth; the verdict
         # log is kept whole (two ints per slot) for latency analysis.
         horizon = round_index - 3
-        for store in (self._vbits, self._reports, self._report_masks):
+        for store in (self._vbits, self._report_masks):
             stale = [key for key in store if key[0] < horizon]
             for key in stale:
                 del store[key]

@@ -21,8 +21,8 @@ The pieces:
   :mod:`repro.faults.processes`;
 * :class:`ScheduleSpec` — default / static (``exec_after``) / dynamic
   node schedules;
-* :class:`VariantSpec` — diagnostic / membership / low-latency service,
-  bitset core on/off, bus fast path on/off, byzantine nodes;
+* :class:`VariantSpec` — diagnostic / membership / low-latency service
+  and byzantine nodes;
 * :class:`RunSpec` — the composition, plus the number of rounds to run
   and an optional named reducer (see :mod:`repro.spec.reducers`).
 
@@ -47,7 +47,16 @@ from ..faults.scenarios import SerializableScenario
 from ..tt.cluster import PAPER_ROUND_LENGTH
 
 #: Schema tag stamped into serialized RunSpecs; bump on layout changes.
-RUNSPEC_SCHEMA = "repro-runspec/1"
+RUNSPEC_SCHEMA = "repro-runspec/2"
+
+#: Schema 1 still reads: its variant carried two execution-strategy
+#: knobs that never changed a result, dropped on read whatever their
+#: values.
+_RUNSPEC_SCHEMA_1 = "repro-runspec/1"
+_SCHEMA_1_VARIANT_KNOBS = ("bitset", "fast_path")
+
+#: The RunSpec sections that must be JSON objects.
+_OBJECT_SECTIONS = ("protocol", "cluster", "schedule", "variant")
 
 #: Known execution backends for :attr:`RunSpec.backend`.
 BACKENDS = ("event", "vectorized")
@@ -171,6 +180,10 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario type {self.type!r}; known: "
                 f"{sorted(SCENARIO_REGISTRY)}")
+        if not isinstance(self.params, dict):
+            raise ValueError(
+                f"scenario params must be an object, got "
+                f"{type(self.params).__name__}")
         object.__setattr__(self, "params", _json_canonical(self.params))
 
     @classmethod
@@ -220,18 +233,15 @@ _SERVICES = ("diagnostic", "membership", "lowlatency")
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Which protocol variant runs, and on which execution paths.
+    """Which protocol variant runs.
 
     ``service`` selects the per-node service class;
-    ``bitset``/``fast_path`` select the (bit-identical) packed analysis
-    core and bus fast path; ``lowlatency_membership`` enables the
-    membership flavour of the Sec. 10 low-latency variant;
-    ``byzantine_nodes`` lists nodes broadcasting random syndromes.
+    ``lowlatency_membership`` enables the membership flavour of the
+    Sec. 10 low-latency variant; ``byzantine_nodes`` lists nodes
+    broadcasting random syndromes.
     """
 
     service: str = "diagnostic"
-    bitset: bool = True
-    fast_path: bool = True
     lowlatency_membership: bool = False
     byzantine_nodes: Tuple[int, ...] = ()
 
@@ -321,18 +331,45 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Schema 1 specs still read: their ``variant.bitset`` and
+        ``variant.fast_path`` knobs are dropped, since both values
+        computed the same run.  Any other spec carrying them is
+        rejected.  A section of the wrong JSON type is a
+        :class:`ValueError`, like every other malformed field.
+        """
         data = dict(data)
         schema = data.pop("spec", RUNSPEC_SCHEMA)
-        if schema != RUNSPEC_SCHEMA:
+        if schema not in (RUNSPEC_SCHEMA, _RUNSPEC_SCHEMA_1):
             raise ValueError(
                 f"unsupported spec schema {schema!r}: this build reads "
-                f"{RUNSPEC_SCHEMA!r} specs; re-emit the spec with "
+                f"{RUNSPEC_SCHEMA!r} and {_RUNSPEC_SCHEMA_1!r} specs; "
+                f"re-emit the spec with "
                 f"`repro-diag spec` from the matching version")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown RunSpec fields {unknown}")
+        for name in _OBJECT_SECTIONS:
+            if not isinstance(data.get(name, {}), dict):
+                raise ValueError(
+                    f"RunSpec field {name!r} must be an object, got "
+                    f"{type(data[name]).__name__}")
+        scenarios = data.get("scenarios", [])
+        if not (isinstance(scenarios, (list, tuple))
+                and all(isinstance(s, dict) for s in scenarios)):
+            raise ValueError("RunSpec field 'scenarios' must be a list "
+                             "of objects")
+        variant = data.get("variant", {})
+        dropped = [k for k in _SCHEMA_1_VARIANT_KNOBS if k in variant]
+        if dropped:
+            if schema != _RUNSPEC_SCHEMA_1:
+                raise ValueError(
+                    f"variant.{dropped[0]} was removed in "
+                    f"{RUNSPEC_SCHEMA!r}: it never changed a result; "
+                    f"drop the field")
+            variant = {k: v for k, v in variant.items() if k not in dropped}
         exec_after = data.get("schedule", {}).get("exec_after")
         if isinstance(exec_after, list):
             data["schedule"] = dict(data["schedule"],
@@ -341,9 +378,8 @@ class RunSpec:
             protocol=ProtocolSpec(**data["protocol"]),
             cluster=ClusterSpec(**data.get("cluster", {})),
             schedule=ScheduleSpec(**data.get("schedule", {})),
-            variant=VariantSpec(**data.get("variant", {})),
-            scenarios=tuple(ScenarioSpec(**s)
-                            for s in data.get("scenarios", ())),
+            variant=VariantSpec(**variant),
+            scenarios=tuple(ScenarioSpec(**s) for s in scenarios),
             n_rounds=data.get("n_rounds", 0),
             reducer=data.get("reducer"),
             backend=data.get("backend", "event"),

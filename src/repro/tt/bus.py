@@ -41,7 +41,7 @@ class Bus:
 
     def __init__(self, engine: Engine, timebase: TimeBase,
                  injection: InjectionLayer, trace: Trace,
-                 n_channels: int = 1, fast_path: bool = True,
+                 n_channels: int = 1,
                  metrics: Optional[Any] = None) -> None:
         if n_channels < 1:
             raise ValueError(f"n_channels must be >= 1, got {n_channels}")
@@ -50,10 +50,6 @@ class Bus:
         self.injection = injection
         self.trace = trace
         self.n_channels = n_channels
-        #: When true, slots the injection layer declares quiescent skip
-        #: the per-channel/per-receiver outcome machinery and deliver in
-        #: one batched event.  Bit-identical to the slow path.
-        self.fast_path = fast_path
         self._receivers: Dict[int, Any] = {}
         self._node_ids: Tuple[int, ...] = ()
         # (node_id, controller.deliver) in ascending node order.
@@ -103,12 +99,11 @@ class Bus:
         disabled): every receiver observes a missing frame, i.e. a
         locally detectable fault.
 
-        When the fast path is enabled and the injection layer reports
-        the slot quiescent, the transmission takes
-        :meth:`transmit_quiescent` instead — same trace record, same
-        deliveries, one batched delivery event.
+        When the injection layer reports the slot quiescent, the
+        transmission takes :meth:`transmit_quiescent` instead — same
+        trace record, same deliveries, one batched delivery event.
         """
-        if (frame is not None and self.fast_path
+        if (frame is not None
                 and self.injection.is_quiescent(round_index, slot,
                                                 self.timebase)):
             self.transmit_quiescent(round_index, slot, frame.sender,
@@ -125,8 +120,7 @@ class Bus:
         is materialised for it; a non-quiescent transmission builds the
         Frame and takes the exhaustive slow path.
         """
-        if self.fast_path and self.injection.is_quiescent(
-                round_index, slot, self.timebase):
+        if self.injection.is_quiescent(round_index, slot, self.timebase):
             self.transmit_quiescent(round_index, slot, sender, payload)
             return
         self._transmit_slow(round_index, slot,

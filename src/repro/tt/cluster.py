@@ -69,9 +69,6 @@ class Cluster:
         Recording level of the cluster-owned :class:`Trace` (ignored
         when an explicit ``trace`` is supplied).  Level 0 drops
         per-slot records without allocating them.
-    fast_path:
-        Enable the bus's batched delivery for injection-quiescent slots
-        (bit-identical results; disable only to exercise the slow path).
     metrics:
         Optional :class:`repro.obs.MetricsRegistry` shared by the
         engine, the bus and (when the caller wires them) the diagnostic
@@ -81,7 +78,7 @@ class Cluster:
     def __init__(self, n_nodes: int, round_length: float = PAPER_ROUND_LENGTH,
                  tx_fraction: float = 0.8, seed: int = 0,
                  n_channels: int = 1, trace: Optional[Trace] = None,
-                 trace_level: int = 2, fast_path: bool = True,
+                 trace_level: int = 2,
                  metrics: Optional[Any] = None) -> None:
         self.metrics = metrics
         self.engine = Engine(metrics=metrics)
@@ -91,7 +88,7 @@ class Cluster:
         self.injection = InjectionLayer()
         self.bus = Bus(self.engine, self.timebase, self.injection,
                        self.trace, n_channels=n_channels,
-                       fast_path=fast_path, metrics=metrics)
+                       metrics=metrics)
         self.schedule = GlobalSchedule(self.timebase)
 
         self.nodes: Dict[int, Node] = {}

@@ -49,6 +49,9 @@ class SenderStatus(enum.Enum):
 
 _IGNORED = SenderStatus.IGNORED
 
+#: Rounds of receive history and collision results a controller keeps.
+_HISTORY_DEPTH = 4
+
 
 class CommunicationController:
     """Per-node controller holding interface variables and validity bits."""
@@ -62,10 +65,12 @@ class CommunicationController:
         self._validity: List[int] = [0] * (n_nodes + 1)
         self._rounds_sent: List[Optional[int]] = [None] * (n_nodes + 1)
         self._status: List[SenderStatus] = [SenderStatus.ACTIVE] * (n_nodes + 1)
+        # Own-slot collision results of the last _HISTORY_DEPTH rounds
+        # (the protocol reads at most round k-3).
         self._collision: Dict[int, bool] = {}
         # Receive history: the last four deliveries per sender.
         self._history: Dict[int, Deque[Tuple[int, int, Any]]] = {
-            i: deque(maxlen=4) for i in range(1, n_nodes + 1)}
+            i: deque(maxlen=_HISTORY_DEPTH) for i in range(1, n_nodes + 1)}
         self._out_buffers: Dict[str, Any] = {}
         self.tx_enabled: bool = True
         self._delivery_listeners: List[Any] = []
@@ -118,6 +123,7 @@ class CommunicationController:
             # Local collision detection: could our own frame be read
             # back from the bus?
             self._collision[round_index] = valid
+            self._collision.pop(round_index - _HISTORY_DEPTH, None)
         if self._status[sender] is _IGNORED:
             valid = False
         # The receive history (the deque keeps the last four entries).
@@ -197,7 +203,9 @@ class CommunicationController:
         """Local collision detector result for the node's slot in a round.
 
         Returns False when the node did not (or could not) put a
-        readable frame on the bus in that round.
+        readable frame on the bus in that round, and for rounds older
+        than the last four in which its own slot was delivered (only
+        those results are kept).
         """
         return self._collision.get(round_index, False)
 

@@ -164,7 +164,9 @@ class DynamicNodeSchedule(NodeSchedule):
     ``send_curr_round_i`` to the application at run time; here that is
     modelled by recomputing the parameters from the drawn offset.  The
     draw for a given round is memoised so that the simulator and the
-    protocol observe the same offset.
+    protocol observe the same offset.  Only the latest drawn round and
+    the one before it are kept: the driver draws round ``k`` at its
+    start and the node's job runs within it.
     """
 
     def __init__(self, timebase: TimeBase, node_id: int, rng: Random) -> None:
@@ -172,10 +174,21 @@ class DynamicNodeSchedule(NodeSchedule):
         self._node_id = node_id
         self._rng = rng
         self._cache: Dict[int, ScheduleParams] = {}
+        self._latest = -1
 
     def params(self, round_index: int) -> ScheduleParams:
-        """Draw (or recall) this round's schedule parameters."""
+        """Draw (or recall) this round's schedule parameters.
+
+        Raises :class:`LookupError` for a round before the previous
+        one: its draw is gone, and drawing again would consume an extra
+        random number and shift every later offset.
+        """
         if round_index not in self._cache:
+            if round_index < self._latest - 1:
+                raise LookupError(
+                    f"node {self._node_id}: the schedule of round "
+                    f"{round_index} is no longer kept (latest round "
+                    f"{self._latest})")
             # Draw the offset inside the transmission window of a
             # uniformly chosen slot: this yields l uniform over
             # 0..N-1, keeps the draw away from delivery instants (so
@@ -190,6 +203,10 @@ class DynamicNodeSchedule(NodeSchedule):
             offset = (slot_idx + frac) * tb.slot_length
             self._cache[round_index] = params_from_offset(
                 tb, self._node_id, offset)
+            if round_index > self._latest:
+                self._latest = round_index
+                for old in [r for r in self._cache if r < round_index - 1]:
+                    del self._cache[old]
         return self._cache[round_index]
 
     @property

@@ -7,8 +7,9 @@ health vectors, penalty/reward counters, activity matrices, isolation
 times and metrics snapshots.  These tests pin that contract with a
 three-way comparison per randomized case:
 
-* event engine, bitset data plane (the default),
-* event engine, tuple data plane (``bitset=False``),
+* event engine, bus fast path wherever a slot is quiescent (the default),
+* event engine, every slot forced down the bus's slow path
+  (:func:`~tests.test_event_engine_golden.force_slow_path`),
 * vectorized kernel (one-replicate batch).
 
 Cases randomize cluster size, protocol knobs (thresholds,
@@ -37,10 +38,11 @@ from repro.spec import (
     RunSpec,
     ScenarioSpec,
     ScheduleSpec,
-    VariantSpec,
 )
 from repro.spec.build import build
 from repro.vec import NUMPY_AVAILABLE, UnsupportedSpecError, run_batch
+
+from .test_event_engine_golden import force_slow_path
 
 pytestmark = pytest.mark.skipif(not NUMPY_AVAILABLE,
                                 reason="numpy not installed")
@@ -207,11 +209,15 @@ def _fuzz_spec(case_seed):
     )
 
 
-def _event_run(spec, bitset):
-    """Drive a spec on the event engine; return (cluster, snapshot)."""
+def _event_run(spec, fast_path=True):
+    """Drive a spec on the event engine; return (cluster, snapshot).
+
+    ``fast_path=False`` sends every slot down the bus's slow path.
+    """
     registry = MetricsRegistry()
-    dc = build(replace(spec, variant=replace(spec.variant, bitset=bitset)),
-               metrics=registry)
+    dc = build(spec, metrics=registry)
+    if not fast_path:
+        force_slow_path(dc.cluster)
     dc.run_rounds(spec.n_rounds)
     return dc, registry.snapshot()
 
@@ -231,19 +237,19 @@ def _assert_observables_match(dc, view, n):
 
 @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
 def test_fuzz_three_way_backend_differential(case_seed):
-    """event/bitset == event/tuple == vectorized, per randomized case."""
+    """event/fast == event/slow == vectorized, per randomized case."""
     spec = _fuzz_spec(case_seed)
     n = spec.protocol.n_nodes
 
-    dc_bit, snap_bit = _event_run(spec, bitset=True)
-    dc_tup, snap_tup = _event_run(spec, bitset=False)
+    dc_fast, snap_fast = _event_run(spec)
+    dc_slow, snap_slow = _event_run(spec, fast_path=False)
     view = run_batch(spec).view(0)
     snap_vec = view.metrics_snapshot()
 
-    _assert_observables_match(dc_bit, view, n)
-    _assert_observables_match(dc_tup, view, n)
-    assert _semantic(snap_bit) == _semantic(snap_vec)
-    assert _semantic(snap_tup) == _semantic(snap_vec)
+    _assert_observables_match(dc_fast, view, n)
+    _assert_observables_match(dc_slow, view, n)
+    assert _semantic(snap_fast) == _semantic(snap_vec)
+    assert _semantic(snap_slow) == _semantic(snap_vec)
 
 
 def test_batch_replicates_match_per_seed_event_runs():
@@ -253,7 +259,7 @@ def test_batch_replicates_match_per_seed_event_runs():
     batch = run_batch(spec, replicates=4)
     for i, seed in enumerate(batch.seeds):
         spec_r = replace(spec, cluster=replace(spec.cluster, seed=seed))
-        dc, snap = _event_run(spec_r, bitset=True)
+        dc, snap = _event_run(spec_r)
         view = batch.view(i)
         _assert_observables_match(dc, view, n)
         assert _semantic(snap) == _semantic(view.metrics_snapshot())
@@ -313,7 +319,7 @@ def test_unsupported_specs_fail_fast():
 CHANNEL_MODELS = ("gilbert", "emi", "duty", "storm")
 
 
-def _channel_spec(model, seed, n=None, fast_path=True, rounds=FUZZ_ROUNDS):
+def _channel_spec(model, seed, n=None, rounds=FUZZ_ROUNDS):
     """A deterministic single-channel-model RunSpec for one seed."""
     rng = random.Random(31000 + 97 * seed + CHANNEL_MODELS.index(model))
     if n is None:
@@ -328,7 +334,6 @@ def _channel_spec(model, seed, n=None, fast_path=True, rounds=FUZZ_ROUNDS):
     return RunSpec(
         protocol=protocol,
         cluster=ClusterSpec(seed=seed),
-        variant=VariantSpec(fast_path=fast_path),
         scenarios=(_channel_scenario(model, 0, n, rng),),
         n_rounds=rounds,
     )
@@ -338,23 +343,21 @@ def _channel_spec(model, seed, n=None, fast_path=True, rounds=FUZZ_ROUNDS):
 @pytest.mark.parametrize("seed", (0, 1, 2))
 @pytest.mark.parametrize("fast_path", (True, False))
 def test_channel_model_three_way_differential(model, seed, fast_path):
-    """event/bitset == event/tuple == vectorized per channel model.
+    """event/fast == event/slow == vectorized per channel model.
 
     Health vectors, p/r counters, activity matrices, isolation times
-    and semantic metrics must be bit-identical across all three
-    execution paths for every new channel model, on both bus paths.
+    and semantic metrics must be bit-identical between the event
+    engine, on either bus path, and the vectorized kernel for every
+    channel model.
     """
-    spec = _channel_spec(model, seed, fast_path=fast_path)
+    spec = _channel_spec(model, seed)
     n = spec.protocol.n_nodes
 
-    dc_bit, snap_bit = _event_run(spec, bitset=True)
-    dc_tup, snap_tup = _event_run(spec, bitset=False)
+    dc, snap = _event_run(spec, fast_path=fast_path)
     view = run_batch(spec).view(0)
 
-    _assert_observables_match(dc_bit, view, n)
-    _assert_observables_match(dc_tup, view, n)
-    assert _semantic(snap_bit) == _semantic(view.metrics_snapshot())
-    assert _semantic(snap_tup) == _semantic(view.metrics_snapshot())
+    _assert_observables_match(dc, view, n)
+    assert _semantic(snap) == _semantic(view.metrics_snapshot())
 
 
 @pytest.mark.parametrize("model", CHANNEL_MODELS)
@@ -365,7 +368,7 @@ def test_channel_model_replicate_batch(model):
     batch = run_batch(spec, replicates=3)
     for i, seed in enumerate(batch.seeds):
         spec_r = replace(spec, cluster=replace(spec.cluster, seed=seed))
-        dc, snap = _event_run(spec_r, bitset=True)
+        dc, snap = _event_run(spec_r)
         view = batch.view(i)
         _assert_observables_match(dc, view, n)
         assert _semantic(snap) == _semantic(view.metrics_snapshot())
@@ -388,9 +391,9 @@ def test_channel_models_across_jobs():
 def test_adaptive_saboteur_event_paths_agree():
     """The adaptive model is deterministic across event-engine variants.
 
-    Its decisions read live protocol state, so bitset/tuple data planes
-    and fast/slow bus paths must all see the identical memoised choice
-    sequence — pinned here by comparing every observable.
+    Its decisions read live protocol state, so the fast and slow bus
+    paths must see the identical memoised choice sequence — pinned
+    here by comparing every observable.
     """
     for n, seed in ((4, 0), (8, 1)):
         protocol = ProtocolSpec(
@@ -404,22 +407,18 @@ def test_adaptive_saboteur_event_paths_agree():
             n_rounds=16,
         )
         reference = None
-        for bitset in (True, False):
-            for fast_path in (True, False):
-                spec = replace(base, variant=VariantSpec(
-                    bitset=bitset, fast_path=fast_path))
-                dc = build(spec)
-                dc.run_rounds(spec.n_rounds)
-                observed = (
-                    {j: dc.health_vectors(j) for j in range(1, n + 1)},
-                    {j: dc.service(j).pr.snapshot() for j in range(1, n + 1)},
-                    dc.active_matrix(),
-                    {j: dc.first_isolation_time(j) for j in range(1, n + 1)},
-                )
-                if reference is None:
-                    reference = observed
-                else:
-                    assert observed == reference, (n, seed, bitset, fast_path)
+        for fast_path in (True, False):
+            dc, _snap = _event_run(base, fast_path=fast_path)
+            observed = (
+                {j: dc.health_vectors(j) for j in range(1, n + 1)},
+                {j: dc.service(j).pr.snapshot() for j in range(1, n + 1)},
+                dc.active_matrix(),
+                {j: dc.first_isolation_time(j) for j in range(1, n + 1)},
+            )
+            if reference is None:
+                reference = observed
+            else:
+                assert observed == reference, (n, seed, fast_path)
 
 
 def test_adaptive_saboteur_is_event_only_on_vectorized():

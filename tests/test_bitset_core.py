@@ -187,17 +187,7 @@ class TestAnalysisCache:
 
 
 class TestEscapeHatch:
-    def test_bitset_false_uses_tuple_matrices(self):
-        from repro import DiagnosedCluster, uniform_config
-
-        dc = DiagnosedCluster(uniform_config(4, penalty_threshold=3,
-                                             reward_threshold=50),
-                              seed=0, bitset=False)
-        dc.run_rounds(8)
-        assert dc.consistent_health_history()
-        service = dc.service(1)
-        assert isinstance(service._last_matrix, DiagnosticMatrix)
-        assert service._analysis_cache is None
+    """The packed plane is the services' only analysis plane."""
 
     def test_bitset_default_uses_bit_matrices(self):
         from repro import DiagnosedCluster, uniform_config

@@ -1,13 +1,14 @@
 """Byte-level goldens for the event engine: traces and counters per spec.
 
 The other equivalence tests compare two paths of one tree (fast vs slow
-bus path, bitset vs tuple core, event vs vectorized backend).  A change
-to the shared engine, bus or trace that moves both sides alike passes
-all of them.  This module pins the event engine itself: for each spec
-of a small matrix (three services; default, ``exec_after`` and dynamic
-schedules; a Byzantine node; every fault family the benchmark
-workloads use) it stores the trace record count, the sha256 of the
-canonical trace JSON and the sha256 of the metrics snapshot.
+bus path, packed analysis vs the Eqn. 1 reference, event vs vectorized
+backend).  A change to the shared engine, bus or trace that moves both
+sides alike passes all of them.  This module pins the event engine
+itself: for each spec of a small matrix (three services; default,
+``exec_after`` and dynamic schedules; a Byzantine node; asymmetric
+faults under both membership flavours; every fault family the
+benchmark workloads use) it stores the trace record count, the sha256
+of the canonical trace JSON and the sha256 of the metrics snapshot.
 
 ``tests/data/golden_event_traces.json`` is regenerated only on purpose,
 after a change that is meant to move an event, a trace record or a
@@ -35,6 +36,32 @@ from repro.spec import RunSpec
 spec_build = importlib.import_module("repro.spec.build")
 
 GOLDEN = Path(__file__).parent / "data" / "golden_event_traces.json"
+
+
+class Unprobed:
+    """A scenario with no ``is_quiescent`` probe and no directives.
+
+    ``InjectionLayer.is_quiescent`` treats a scenario without a probe
+    as active and stops at the first active one, so with this scenario
+    registered first it answers False for every slot before it consults
+    any other probe: the bus takes its slow path everywhere, and no
+    outcome changes.
+    """
+
+    def directives(self, ctx):
+        return ()
+
+
+def force_slow_path(cluster) -> None:
+    """Send every slot of a :class:`~repro.tt.cluster.Cluster` down the
+    bus's slow path by registering :class:`Unprobed` first."""
+    injection = cluster.injection
+    scenarios = injection.scenarios
+    for scenario in scenarios:
+        injection.remove(scenario)
+    injection.add(Unprobed())
+    for scenario in scenarios:
+        injection.add(scenario)
 
 
 def _spec(n: int, rounds: int, seed: int, scenarios: List[dict] = (),
@@ -104,9 +131,8 @@ SPECS: Dict[str, dict] = {
     "diag-gilbert-elliott": _spec(6, 40, 18, [_gilbert(0.1)],
                                   penalty=10, reward=50),
     "diag-poisson": _spec(5, 40, 19, [_POISSON], penalty=1, reward=5),
-    "diag-slow-path-tuple-core": _spec(
-        4, 24, 20, [_sender(1, "benign", rounds=[4]), _burst(8, 3, 1)],
-        variant={"fast_path": False, "bitset": False}),
+    "diag-slow-path": _spec(
+        4, 24, 20, [_sender(1, "benign", rounds=[4]), _burst(8, 3, 1)]),
     "diag-two-channels": _spec(
         4, 20, 21, [{"type": "ChannelBurst", "params": {
             "channel": 0, "start": 0.0125, "duration": 0.004}},
@@ -117,11 +143,19 @@ SPECS: Dict[str, dict] = {
         4, 30, 23, [_sender(2, "benign", from_round=4)], trace_level=0),
     "membership-burst": _spec(
         5, 24, 24, [_burst(6, 4, 1)], variant={"service": "membership"}),
+    "membership-asymmetric": _spec(
+        5, 24, 30, [_sender(3, "asymmetric", rounds=[6, 7],
+                            detectable_by=[1])],
+        variant={"service": "membership"}),
     "membership-dynamic-benign": _spec(
         4, 30, 25, [_sender(2, "benign", from_round=8)],
         schedule={"kind": "dynamic"}, variant={"service": "membership"}),
     "lowlatency-burst": _spec(
         4, 20, 26, [_burst(5, 2, 2)], variant={"service": "lowlatency"}),
+    "lowlatency-membership-asymmetric": _spec(
+        5, 24, 31, [_sender(3, "asymmetric", rounds=[6, 7],
+                            detectable_by=[1])],
+        variant={"service": "lowlatency", "lowlatency_membership": True}),
     "lowlatency-membership-gilbert": _spec(
         5, 24, 27, [_gilbert(0.1)],
         variant={"service": "lowlatency", "lowlatency_membership": True}),
@@ -133,11 +167,13 @@ def _sha256(value: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fingerprint(spec_dict: dict) -> Dict[str, Any]:
-    """Run one spec on the event engine and digest what it produced."""
-    spec = RunSpec.from_dict(spec_dict)
+def fingerprint(name: str) -> Dict[str, Any]:
+    """Run one named spec on the event engine and digest what it produced."""
+    spec = RunSpec.from_dict(SPECS[name])
     registry = MetricsRegistry()
     target = spec_build.build(spec, metrics=registry)
+    if name == "diag-slow-path":
+        force_slow_path(target.cluster)
     target.run_rounds(spec.n_rounds)
     records = target.trace.to_dicts()
     return {"spec_digest": spec.full_digest(),
@@ -156,7 +192,7 @@ def test_golden_covers_the_spec_matrix():
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_event_engine_matches_golden(name):
-    assert fingerprint(SPECS[name]) == _golden()["specs"][name]
+    assert fingerprint(name) == _golden()["specs"][name]
 
 
 def test_matrix_exercises_faults():
@@ -167,11 +203,18 @@ def test_matrix_exercises_faults():
     target = spec_build.build(spec)
     target.run_rounds(spec.n_rounds)
     assert target.isolation_records(isolated=2)
+    # The asymmetric membership entries pin the order of minority
+    # accusations, which only ``clique`` records show.
+    for name in ("membership-asymmetric",
+                 "lowlatency-membership-asymmetric"):
+        spec = RunSpec.from_dict(SPECS[name])
+        target = spec_build.build(spec)
+        target.run_rounds(spec.n_rounds)
+        assert target.trace.select(category="clique"), name
 
 
 def regenerate() -> None:
-    document = {"specs": {name: fingerprint(SPECS[name])
-                          for name in sorted(SPECS)}}
+    document = {"specs": {name: fingerprint(name) for name in sorted(SPECS)}}
     GOLDEN.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
 

@@ -4,11 +4,13 @@ The batched slot delivery fast path (``Bus.transmit_quiescent`` gated
 by ``InjectionLayer.is_quiescent``) is an optimisation, not a semantic
 variant: for every seed and every scenario mix the cluster must produce
 byte-identical traces and identical health vectors whether the fast
-path is enabled or forced off.  These tests pin that contract on
-fault-free runs and on runs with deterministic and stochastic
-injections (the stochastic ones also exercise the "same RNG draws"
-requirement — a single skipped or extra draw would desynchronise every
-subsequent verdict).
+path is taken or forced off.  The slow path is forced without a knob:
+a scenario with no ``is_quiescent`` probe, registered first, makes
+every slot non-quiescent (:func:`force_slow_path`).  These tests pin
+that contract on fault-free runs and on runs with deterministic and
+stochastic injections (the stochastic ones also exercise the "same RNG
+draws" requirement — a single skipped or extra draw would desynchronise
+every subsequent verdict).
 """
 
 import json
@@ -23,6 +25,8 @@ from repro.faults.processes import (
     RandomSlotNoise,
 )
 from repro.faults.scenarios import SenderFault, SlotBurst
+
+from .test_event_engine_golden import force_slow_path
 
 FAULT_ROUND = 5
 ROUNDS = 20
@@ -69,8 +73,9 @@ SCENARIO_BUILDERS = [
 def run_cluster(n_nodes, fast_path, builder, seed=0, trace_level=2):
     config = uniform_config(n_nodes, penalty_threshold=3,
                             reward_threshold=50)
-    dc = DiagnosedCluster(config, seed=seed, trace_level=trace_level,
-                          fast_path=fast_path)
+    dc = DiagnosedCluster(config, seed=seed, trace_level=trace_level)
+    if not fast_path:
+        force_slow_path(dc.cluster)
     for scenario in builder(dc):
         dc.cluster.add_scenario(scenario)
     dc.run_rounds(ROUNDS)
@@ -127,7 +132,9 @@ def test_fast_path_skips_injection_machinery():
 
     config = uniform_config(4, penalty_threshold=3, reward_threshold=50)
     for fast_path in (True, False):
-        dc = DiagnosedCluster(config, seed=0, fast_path=fast_path)
+        dc = DiagnosedCluster(config, seed=0)
+        if not fast_path:
+            force_slow_path(dc.cluster)
         counting(dc, fast_path)
         dc.run_rounds(ROUNDS)
     assert calls[True] == 0
@@ -162,11 +169,6 @@ FUZZ_ROUNDS = 10
 #: protocol did; legitimately different between fast and slow runs.
 EXECUTION_COUNTERS = frozenset(
     {"bus.slots_fast_path", "bus.slots_slow_path"})
-#: Superset also covering the bitset-analysis strategy counters, which
-#: legitimately differ between ``bitset=True`` and ``bitset=False``.
-STRATEGY_COUNTERS = EXECUTION_COUNTERS | frozenset(
-    {"vote.cache_hit", "vote.cache_miss", "vote.popcount_votes",
-     "syndrome.intern_evictions"})
 
 
 def _fuzz_scenarios(dc, case_seed):
@@ -215,7 +217,9 @@ def _run_fuzz_case(case_seed, fast_path):
                             reward_threshold=50)
     registry = MetricsRegistry()
     dc = DiagnosedCluster(config, seed=case_seed, trace_level=2,
-                          fast_path=fast_path, metrics=registry)
+                          metrics=registry)
+    if not fast_path:
+        force_slow_path(dc.cluster)
     for scenario in _fuzz_scenarios(dc, case_seed):
         dc.cluster.add_scenario(scenario)
     dc.run_rounds(FUZZ_ROUNDS)
@@ -224,11 +228,11 @@ def _run_fuzz_case(case_seed, fast_path):
 
 
 def _semantic(snapshot):
-    """A snapshot with all strategy counters dropped."""
+    """A snapshot with the bus-path counters dropped."""
     return {**snapshot,
             "counters": {name: value
                          for name, value in snapshot["counters"].items()
-                         if name not in STRATEGY_COUNTERS}}
+                         if name not in EXECUTION_COUNTERS}}
 
 
 def _fuzz_worker(case_seed):
@@ -239,24 +243,21 @@ def _fuzz_worker(case_seed):
 VARIANT_KINDS = ("base", "membership", "lowlatency")
 
 
-def _run_variant_case(case_seed, kind, bitset, fast_path=True):
-    """One metered fuzz case on a chosen cluster kind and data plane."""
+def _run_variant_case(case_seed, kind):
+    """One metered fuzz case on a chosen cluster kind."""
     n_nodes = FUZZ_NODES[case_seed % len(FUZZ_NODES)]
     config = uniform_config(n_nodes, penalty_threshold=3,
                             reward_threshold=50)
     registry = MetricsRegistry()
     if kind == "base":
         dc = DiagnosedCluster(config, seed=case_seed, trace_level=2,
-                              fast_path=fast_path, metrics=registry,
-                              bitset=bitset)
+                              metrics=registry)
     elif kind == "membership":
         dc = MembershipCluster(config, seed=case_seed, trace_level=2,
-                               fast_path=fast_path, metrics=registry,
-                               bitset=bitset)
+                               metrics=registry)
     else:
         dc = LowLatencyCluster(config, seed=case_seed, trace_level=2,
-                               fast_path=fast_path, metrics=registry,
-                               membership=True, bitset=bitset)
+                               metrics=registry, membership=True)
     for scenario in _fuzz_scenarios(dc, case_seed):
         dc.cluster.add_scenario(scenario)
     dc.run_rounds(FUZZ_ROUNDS)
@@ -265,8 +266,8 @@ def _run_variant_case(case_seed, kind, bitset, fast_path=True):
 
 
 def _variant_worker(case_seed, kind):
-    """Picklable pool worker: one bitset variant fuzz case."""
-    return _run_variant_case(case_seed, kind, True)
+    """Picklable pool worker: one variant fuzz case."""
+    return _run_variant_case(case_seed, kind)
 
 
 @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
@@ -295,35 +296,8 @@ def test_fuzz_jobs_invariant():
 
 
 # ---------------------------------------------------------------------------
-# Differential fuzz: bitset vs tuple data plane, per cluster kind
+# Variant fuzz cases, serial vs pool
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", VARIANT_KINDS)
-@pytest.mark.parametrize("case_seed", range(0, FUZZ_CASES, 2))
-def test_fuzz_bitset_tuple_differential(case_seed, kind):
-    """bitset=True and bitset=False agree byte-for-byte on every kind."""
-    bit_trace, bit_snap = _run_variant_case(case_seed, kind, True)
-    tup_trace, tup_snap = _run_variant_case(case_seed, kind, False)
-    assert bit_trace == tup_trace
-    assert _semantic(bit_snap) == _semantic(tup_snap)
-    # The tuple plane must not touch the bitset strategy counters.
-    tup_c = tup_snap["counters"]
-    assert tup_c.get("vote.cache_hit", 0) == 0
-    assert tup_c.get("vote.popcount_votes", 0) == 0
-
-
-@pytest.mark.parametrize("case_seed", (1, 6, 11))
-def test_fuzz_bitset_fastpath_matrix(case_seed):
-    """All four bitset × fast-path combinations agree semantically."""
-    results = {
-        (bitset, fast_path): _run_variant_case(case_seed, "base", bitset,
-                                               fast_path=fast_path)
-        for bitset in (True, False) for fast_path in (True, False)}
-    reference_trace, reference_snap = results[(True, True)]
-    for combo, (trace, snap) in results.items():
-        assert trace == reference_trace, combo
-        assert _semantic(snap) == _semantic(reference_snap), combo
 
 
 def test_fuzz_variants_jobs_invariant():

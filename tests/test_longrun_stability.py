@@ -54,6 +54,18 @@ class TestLongRun:
             controller = dc.cluster.node(i).controller
             for history in controller._history.values():
                 assert len(history) <= 4
+            # Own-slot collision results: the receive history's depth.
+            assert len(controller._collision) <= 4
+        # A dynamic schedule keeps the current and the previous draw.
+        config = uniform_config(4, penalty_threshold=20,
+                                reward_threshold=400)
+        dynamic = DiagnosedCluster(config, seed=3, trace_level=0,
+                                   dynamic_schedules=True)
+        dynamic.run_rounds(2000)
+        for i in range(1, 5):
+            node = dynamic.cluster.node(i)
+            assert len(node.schedule._cache) <= 2
+            assert len(node.controller._collision) <= 4
 
     def test_oracle_clean_over_long_mixed_run(self):
         config = uniform_config(4, penalty_threshold=10 ** 6,

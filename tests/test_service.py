@@ -123,6 +123,20 @@ class TestParseJobRequest:
         ({"campaign": "rare-events", "reps": 1001}, r"must be in 1\.\.1000"),
         ({"campaign": "validate", "reps": 1001}, r"must be in 1\.\.1000"),
         ({"campaign": "validate", "nodes": 65}, r"must be in 2\.\.64"),
+        # Sections of the wrong JSON type, and the execution-strategy
+        # knobs schema 2 removed.
+        (dict(_spec().to_dict(), schedule=[1]),
+         "'schedule' must be an object"),
+        (dict(_spec().to_dict(), schedule="static"),
+         "'schedule' must be an object"),
+        (dict(_spec().to_dict(), variant=[]), "'variant' must be an object"),
+        (dict(_spec().to_dict(), scenarios={"type": "SlotBurst"}),
+         "list of objects"),
+        (dict(_spec().to_dict(),
+              scenarios=[{"type": "SlotBurst", "params": [6, 2]}]),
+         "params must be an object"),
+        (dict(_spec().to_dict(), variant={"fast_path": False}),
+         "variant.fast_path"),
     ])
     def test_bad_requests_are_client_errors(self, body, needle):
         with pytest.raises(BadRequestError, match=needle):
@@ -134,6 +148,20 @@ class TestParseJobRequest:
         ('{"protocol": {"n_nodes": 4}}', "spec #0: "),
         ("not json", "not valid JSON"),
         ("[]", "submission contains no specs"),
+        ('{"protocol": {"n_nodes": 4, "penalty_threshold": 3, '
+         '"reward_threshold": 5, "criticalities": [1, 1, 1, 1]}, '
+         '"schedule": [1]}', "spec #0: RunSpec field 'schedule'"),
+        ('{"protocol": {"n_nodes": 4, "penalty_threshold": 3, '
+         '"reward_threshold": 5, "criticalities": [1, 1, 1, 1]}, '
+         '"schedule": "static"}', "spec #0: RunSpec field 'schedule'"),
+        ('{"protocol": {"n_nodes": 4, "penalty_threshold": 3, '
+         '"reward_threshold": 5, "criticalities": [1, 1, 1, 1]}, '
+         '"scenarios": [{"type": "SlotBurst", "params": "x"}]}',
+         "spec #0: scenario params must be an object"),
+        ('{"protocol": {"n_nodes": 4, "penalty_threshold": 3, '
+         '"reward_threshold": 5, "criticalities": [1, 1, 1, 1]}, '
+         '"variant": {"bitset": true}, "spec": "repro-runspec/2"}',
+         "spec #0: variant.bitset"),
     ])
     def test_malformed_spec_files_are_client_errors(self, tmp_path, capsys,
                                                     text, needle):

@@ -354,6 +354,10 @@ class TestErrorsAndIntrospection:
             status, payload = _post_job(url, {"campaign": "nope"})
             assert status == 400
             assert "unknown campaign" in payload["error"]
+            status, payload = _post_job(
+                url, dict(_spec().to_dict(), schedule=[1]))
+            assert status == 400
+            assert "'schedule' must be an object" in payload["error"]
             status, _h, _b = _request(url + "/v1/jobs/deadbeef")
             assert status == 404
             status, _h, _b = _request(url + "/v1/nothing")

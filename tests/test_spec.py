@@ -123,19 +123,69 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unsupported spec schema"):
             RunSpec.from_dict(data)
 
+    @pytest.mark.parametrize("knobs", [
+        {"bitset": True}, {"bitset": False},
+        {"fast_path": True}, {"fast_path": False},
+        {"bitset": False, "fast_path": False},
+        {"bitset": True, "fast_path": True},
+    ])
+    def test_schema_1_strategy_knobs_are_dropped(self, knobs):
+        # Both values of either knob computed the same run, so a
+        # schema-1 spec reads as the spec without them.
+        spec = RunSpec(protocol=_protocol(),
+                       variant=VariantSpec(service="membership"),
+                       n_rounds=10)
+        data = spec.to_dict()
+        data["spec"] = "repro-runspec/1"
+        data["variant"] = dict(data["variant"], **knobs)
+        rebuilt = RunSpec.from_dict(data)
+        assert rebuilt == spec
+        assert rebuilt.full_digest() == spec.full_digest()
+
+    @pytest.mark.parametrize("schema", [RUNSPEC_SCHEMA, None])
+    @pytest.mark.parametrize("knob", ["bitset", "fast_path"])
+    def test_removed_knobs_rejected_after_schema_1(self, schema, knob):
+        data = RunSpec(protocol=_protocol()).to_dict()
+        if schema is None:
+            del data["spec"]
+        data["variant"] = dict(data["variant"], **{knob: True})
+        with pytest.raises(ValueError, match=f"variant.{knob}"):
+            RunSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("protocol", [4]), ("cluster", "big"), ("schedule", [1]),
+        ("schedule", "static"), ("variant", 3),
+    ])
+    def test_non_object_sections_rejected(self, field, value):
+        data = RunSpec(protocol=_protocol()).to_dict()
+        data[field] = value
+        with pytest.raises(ValueError, match=f"'{field}' must be an object"):
+            RunSpec.from_dict(data)
+
+    @pytest.mark.parametrize("scenarios", [{"type": "SlotBurst"}, "x",
+                                           [1], [["SlotBurst"]]])
+    def test_scenarios_must_be_a_list_of_objects(self, scenarios):
+        data = RunSpec(protocol=_protocol()).to_dict()
+        data["scenarios"] = scenarios
+        with pytest.raises(ValueError, match="list of objects"):
+            RunSpec.from_dict(data)
+
+    @pytest.mark.parametrize("params", [[1], "x", 3, None])
+    def test_scenario_params_must_be_an_object(self, params):
+        with pytest.raises(ValueError, match="params must be an object"):
+            ScenarioSpec("SlotBurst", params)
+
 
 def _variant_matrix():
     variants = []
     for service in ("diagnostic", "membership"):
-        for bitset in (True, False):
-            for fast_path in (True, False):
-                variants.append(VariantSpec(service=service, bitset=bitset,
-                                            fast_path=fast_path))
+        for byzantine in ((), (1,), (2, 4), (1, 2, 3)):
+            variants.append(VariantSpec(service=service,
+                                        byzantine_nodes=byzantine))
     variants.append(VariantSpec(service="lowlatency"))
     variants.append(VariantSpec(service="lowlatency",
                                 lowlatency_membership=True))
-    variants.append(VariantSpec(service="diagnostic",
-                                byzantine_nodes=(2, 4)))
+    variants.append(VariantSpec(service="diagnostic", byzantine_nodes=(4,)))
     return variants
 
 

@@ -47,6 +47,17 @@ def test_collision_detector_tracks_own_slot(ctrl):
     assert ctrl.collision_ok(99) is False
 
 
+def test_collision_results_kept_for_four_rounds(ctrl):
+    for k in range(10):
+        ctrl.deliver(sender=1, round_index=k, slot=1, valid=k % 2 == 0,
+                     payload=None)
+    assert sorted(ctrl._collision) == [6, 7, 8, 9]
+    assert ctrl.collision_ok(6) is True
+    assert ctrl.collision_ok(7) is False
+    # Evicted rounds read like unknown ones.
+    assert ctrl.collision_ok(4) is False
+
+
 def test_other_senders_do_not_touch_collision(ctrl):
     ctrl.deliver(sender=2, round_index=4, slot=2, valid=True, payload="x")
     assert ctrl.collision_ok(4) is False

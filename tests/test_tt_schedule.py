@@ -126,6 +126,21 @@ class TestDynamicNodeSchedule:
         ls = {sched.params(k).l for k in range(500)}
         assert ls == {0, 1, 2, 3}
 
+    def test_keeps_current_and_previous_round_only(self, tb):
+        sched = DynamicNodeSchedule(tb, 2, random.Random(4))
+        first = [sched.params(k) for k in range(6)]
+        assert sched.params(5) is first[5]
+        assert sched.params(4) is first[4]
+        assert sorted(sched._cache) == [4, 5]
+        # An evicted round raises instead of drawing again, which
+        # would shift every later offset.
+        with pytest.raises(LookupError, match="round 3"):
+            sched.params(3)
+        reference = DynamicNodeSchedule(tb, 2, random.Random(4))
+        assert ([reference.params(k).offset for k in range(8)]
+                == [p.offset for p in first]
+                + [sched.params(k).offset for k in (6, 7)])
+
     def test_deterministic_for_seed(self, tb):
         a = DynamicNodeSchedule(tb, 3, random.Random(9))
         b = DynamicNodeSchedule(tb, 3, random.Random(9))

@@ -96,7 +96,7 @@ def _case_spec(case_id, n, rounds, kinds, thresholds, reintegration):
 
 def _event_replicate(spec, reintegration):
     if not reintegration:
-        return _event_run(spec, bitset=True)
+        return _event_run(spec)
     registry = MetricsRegistry()
     dc = build(spec, metrics=registry)
     attach_reintegration_everywhere(dc)
