@@ -14,10 +14,10 @@ a production-grade campaign run::
     print(definition.render(definition.aggregate(result.results)))
 
 * :mod:`repro.campaign.engine` — the engine: consult the store first,
-  dispatch only misses, checkpoint each completed task, retry failures
-  with bounded backoff, enforce per-task deadlines;
-* :mod:`repro.campaign.state` — the atomic checkpoint state file
-  behind ``--resume`` and ``campaign status``;
+  dispatch only misses, commit each completed task to the store, retry
+  failures with bounded backoff, enforce per-task deadlines;
+* :mod:`repro.campaign.state` — the campaign record in the store's
+  index behind ``--resume`` and ``campaign status``;
 * :mod:`repro.campaign.definitions` — the paper's sweeps as named
   campaign definitions, the front door the CLI and ``POST /v1/jobs``
   share (named-campaign registry, RunSpec list parser, backend
@@ -53,7 +53,7 @@ from .engine import (
     execute_spec_task,
     run_campaign,
 )
-from .state import CampaignState, campaign_id, load_all_states
+from .state import CampaignState, campaign_id
 
 __all__ = [
     "CAMPAIGN_KNOBS",
@@ -75,7 +75,6 @@ __all__ = [
     "campaign_id",
     "campaign_tasks",
     "execute_spec_task",
-    "load_all_states",
     "result_document",
     "run_campaign",
     "specs_campaign",

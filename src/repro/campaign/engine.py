@@ -1,4 +1,4 @@
-"""The campaign engine: store-first, checkpointed, fault-tolerant runs.
+"""The campaign engine: store-first, resumable, fault-tolerant runs.
 
 A *campaign* is an ordered list of :class:`~repro.spec.RunSpec` values
 (Monte Carlo repetitions, tuning grids, regression suites) whose
@@ -11,13 +11,14 @@ campaign with three guarantees the bare sweep layer never had:
    hits replay the cached result *and* its metrics snapshot, so a
    fully-warm campaign is pure index lookups and its merged metrics
    are byte-identical to an uncached ``jobs=1`` run.
-2. **Checkpoint/resume.**  Completed tasks are committed to the store
-   *as each one finishes* — streaming commits bound what a SIGKILL can
-   lose to the tasks in flight at that instant, never a whole chunk —
-   and a tiny atomic state file (:mod:`repro.campaign.state`) tracks
-   progress.  A campaign killed mid-flight resumes with
-   ``resume=True`` (CLI ``--resume``), re-runs only what the store is
-   missing, and produces the same bytes as an uninterrupted run.
+2. **The store is the checkpoint.**  Completed tasks are committed
+   to the store *as each one finishes* — streaming commits bound what
+   a SIGKILL can lose to the tasks in flight at that instant, never a
+   whole chunk — and a campaign record (:mod:`repro.campaign.state`)
+   in the store's index is written at start and at the terminal
+   status.  A campaign killed mid-flight resumes with ``resume=True``
+   (CLI ``--resume``), re-runs only what the store is missing, and
+   produces the same bytes as an uninterrupted run.
 3. **Fault tolerance.**  Workers run with an optional per-task
    deadline (SIGALRM inside the worker, so a hung task cannot wedge
    the sweep), failures surface as structured
@@ -81,7 +82,8 @@ class TaskTimeout(TimeoutError):
 
 
 class InterruptedCampaignError(RuntimeError):
-    """An unfinished checkpoint exists and ``resume`` was not requested."""
+    """An unfinished campaign record exists and ``resume`` was not
+    requested."""
 
 
 class CampaignFailedError(RuntimeError):
@@ -265,7 +267,6 @@ def run_campaign(specs: SpecsInput,
                  max_backoff: float = DEFAULT_MAX_BACKOFF,
                  task_timeout: Optional[float] = None,
                  resume: bool = False,
-                 state_path: Optional[str] = None,
                  metrics=NULL_REGISTRY,
                  sleep: Callable[[float], None] = time.sleep,
                  dispatch: Union[str, DispatchBackend] = "pool",
@@ -274,11 +275,12 @@ def run_campaign(specs: SpecsInput,
     """Run a campaign store-first with streaming commits and retries.
 
     Without a ``store`` this degrades to a deterministic retrying sweep
-    (no persistence, no state file) — the mode ``repro-diag validate``,
-    ``table2`` and ``run`` use.  With one, every completed
-    task is committed and checkpointed as it finishes, so a SIGKILL
-    loses at most the in-flight tasks; ``resume=True`` is required to
-    continue a campaign whose state file says it never finished (so an
+    (no persistence, no campaign record) — the mode ``repro-diag
+    validate``, ``table2`` and ``run`` use.  With one, every completed
+    task is committed as it finishes, so a SIGKILL loses at most the
+    in-flight tasks, and the campaign record is written twice: at start
+    and at the terminal status.  ``resume=True`` is required to
+    continue a campaign whose record says it never finished (so an
     accidental re-launch cannot silently double-run a half-done
     campaign).
 
@@ -308,8 +310,7 @@ def run_campaign(specs: SpecsInput,
     metrics.counter("campaign.tasks").inc(total)
     if not tasks:
         # A zero-task campaign is complete by definition: nothing to
-        # consult, dispatch, or checkpoint — and no state file, so a
-        # later non-empty campaign cannot trip over a stale one.
+        # consult, dispatch, or record.
         return CampaignResult(name=name, tasks=[], results=[],
                               snapshots=[])
     results: List[Any] = [None] * total
@@ -335,32 +336,23 @@ def run_campaign(specs: SpecsInput,
     _notify({"kind": "plan", "total": total, "hits": hits,
              "misses": misses})
 
-    # -- checkpoint state ----------------------------------------------
-    state: Optional[CampaignState] = None
+    # -- campaign record -----------------------------------------------
+    record: Optional[CampaignState] = None
     if store is not None:
         cid = campaign_id(task.key for task in tasks)
-        if state_path is None:
-            state_path = os.path.join(store.campaign_dir, cid + ".json")
-        existing = CampaignState.load(state_path)
-        if existing is not None and existing.campaign_id == cid \
-                and existing.status == "running" and not resume:
+        previous = store.campaigns(cid)
+        if previous and previous[0]["status"] == "running" and not resume:
             raise InterruptedCampaignError(
-                f"campaign {cid} has an unfinished checkpoint at "
-                f"{state_path} ({existing.completed}/{existing.total} "
-                f"done); pass resume=True / --resume to continue it")
-        state = CampaignState(campaign_id=cid, name=name, total=total,
-                              completed=hits)
-        state.save(state_path)
-
-    def _checkpoint() -> None:
-        if state is not None:
-            state.completed = len(done)
-            state.save(state_path)
+                f"campaign {cid} did not finish ({hits}/{total} done in "
+                f"the store); pass resume=True / --resume to continue it")
+        record = CampaignState(campaign_id=cid, name=name,
+                               keys=[task.key for task in tasks])
+        record.save(store)
 
     # -- dispatch misses through a streaming backend -------------------
-    # Each completion commits (store + checkpoint) the moment it
-    # arrives; failed tasks re-enter the live queue with per-task
-    # exponential backoff instead of waiting for a retry round.
+    # Each completion is committed to the store the moment it arrives;
+    # failed tasks re-enter the live queue with per-task exponential
+    # backoff instead of waiting for a retry round.
     failures: Dict[int, TaskError] = {}
     attempts: Dict[int, int] = {index: 0 for index in pending}
     retried = 0
@@ -432,20 +424,13 @@ def run_campaign(specs: SpecsInput,
         for completion in backend.as_completed():
             members = item_members.pop(completion.item.item_id)
             if completion.error is None:
-                if completion.item.kind == "batch":
-                    for index, (result, snapshot) in zip(
-                            members, completion.value):
-                        _commit(index, result, snapshot)
-                    if store is not None:
-                        store.put_many((tasks[index].key, _payload(index))
-                                       for index in members)
-                else:
-                    index = members[0]
-                    result, snapshot = completion.value
+                values = (completion.value if completion.item.kind == "batch"
+                          else [completion.value])
+                for index, (result, snapshot) in zip(members, values):
                     _commit(index, result, snapshot)
-                    if store is not None:
-                        store.put(tasks[index].key, _payload(index))
-                _checkpoint()
+                if store is not None:
+                    store.put_many([(tasks[index].key, _payload(index))
+                                    for index in members])
                 continue
             # Failure: surviving attempts re-enter the live queue.  A
             # failed replicate batch falls back to per-task dispatch,
@@ -474,10 +459,10 @@ def run_campaign(specs: SpecsInput,
                  "error_type": error.error_type,
                  "message": error.message,
                  "timed_out": error.timed_out})
-    if state is not None:
-        state.failed = len(failures)
-        state.status = "failed" if failures else "completed"
-        _checkpoint()
+    if record is not None:
+        record.failed = len(failures)
+        record.status = "failed" if failures else "completed"
+        record.save(store)
     _notify({"kind": "finished", "completed": len(done),
              "failed": len(failures), "hits": hits, "misses": misses,
              "retried": retried, "total": total})

@@ -17,11 +17,12 @@ Installed as ``repro-diag``.  Subcommands map to the evaluation:
 * ``repro-diag campaign run SOURCE`` — run a named campaign
   (``validate``, ``table2``) or a RunSpec JSON file through the
   persistent campaign engine: results cached by content address in the
-  store (``--store DIR``), checkpointed for ``--resume``, failed tasks
+  store (``--store DIR``), resumable with ``--resume``, failed tasks
   retried with backoff under a per-task ``--task-timeout``;
-* ``repro-diag campaign status``     — checkpoint states + store footprint;
+* ``repro-diag campaign status``     — campaign records with progress
+  read from the store, plus its footprint;
 * ``repro-diag campaign gc``         — evict old cache entries, compact
-  the payload shards;
+  the payload shards, drop campaigns none of whose results remain;
 * ``repro-diag results render SOURCE`` — render a campaign ``--out``
   document (or a named campaign's cached store results) as ascii,
   markdown, latex, csv, html or json without re-running anything;
@@ -417,21 +418,19 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    from .campaign.state import load_all_states
     from .obs import MetricsRegistry
 
     store = _open_store(args, MetricsRegistry(enabled=False))
     try:
-        states = load_all_states(store.campaign_dir)
-        rows = [(s.campaign_id, s.name, s.status,
-                 f"{s.completed}/{s.total}", s.failed)
-                for s in states]
+        rows = [(c["campaign_id"], c["name"], c["status"],
+                 f"{c['done']}/{c['total']}", c["failed"])
+                for c in store.campaigns()]
         if rows:
             print(render_table(
                 ["campaign", "name", "status", "done", "failed"], rows,
-                title=f"campaign checkpoints in {store.campaign_dir}"))
+                title=f"campaigns in {store.root}"))
         else:
-            print(f"no campaign checkpoints in {store.campaign_dir}")
+            print(f"no campaigns in {store.root}")
         stats = store.stats()
         print(f"store: {stats['entries']} cached result(s), "
               f"{stats['shard_bytes']} payload byte(s) in {stats['root']}")
@@ -452,7 +451,8 @@ def _cmd_campaign_gc(args: argparse.Namespace) -> int:
     finally:
         store.close()
     print(f"gc: evicted {stats.evicted} entrie(s), dropped "
-          f"{stats.orphans_dropped} stale record(s), kept {stats.kept}; "
+          f"{stats.orphans_dropped} stale record(s) and "
+          f"{stats.campaigns_dropped} campaign(s), kept {stats.kept}; "
           f"shards {stats.bytes_before} -> {stats.bytes_after} bytes")
     return 0
 
@@ -605,7 +605,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine_jobs=args.jobs,
         retries=args.retries,
         task_timeout=args.task_timeout,
-        snapshot_every=args.snapshot_every,
     )
     app = create_app(manager)
     try:
@@ -717,10 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "or ~/.cache/repro-diag)")
     p.add_argument("--no-store", action="store_true",
                    help="run without the persistent store (no caching, "
-                        "no checkpointing)")
+                        "no resume)")
     p.add_argument("--resume", action="store_true",
-                   help="continue a campaign whose checkpoint says it "
-                        "never finished")
+                   help="continue a campaign whose record in the store "
+                        "says it never finished")
     p.add_argument("--retries", type=int, default=2,
                    help="re-dispatch rounds for failed tasks")
     p.add_argument("--task-timeout", type=float, default=None,
@@ -746,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_campaign_run)
 
     p = campaign_sub.add_parser(
-        "status", help="show campaign checkpoints and store footprint")
+        "status", help="show campaigns, their progress and the store "
+                       "footprint")
     p.add_argument("--store", metavar="DIR", default=None)
     p.set_defaults(func=_cmd_campaign_status)
 
@@ -837,9 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-task deadline enforced inside the worker")
-    p.add_argument("--snapshot-every", type=int, default=0,
-                   help="emit a metrics snapshot event every N committed "
-                        "tasks (0 = only at completion)")
     p.add_argument("--impl", choices=("stdlib", "uvicorn"),
                    default="stdlib",
                    help="HTTP host: the built-in stdlib asyncio server, "

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional
 from ..campaign.definitions import result_document
 from ..campaign.engine import run_campaign
 from ..obs.export import render_json
-from ..obs.registry import MetricsRegistry, merge_snapshots
+from ..obs.registry import MetricsRegistry, empty_snapshot, merge_snapshots
 from ..store import ResultStore
 from .events import EventHub, JobEventLog
 from .serialization import JobRequest
@@ -98,8 +98,6 @@ class Job:
     result_zlib: Optional[bytes] = None
     #: Structured TaskError payloads (``failed`` jobs).
     errors: List[Dict[str, Any]] = field(default_factory=list)
-    #: The engine registry snapshot for this job's run.
-    engine_snapshot: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -166,15 +164,11 @@ class JobManager:
                  engine_jobs: int = 1,
                  retries: int = 2,
                  task_timeout: Optional[float] = None,
-                 snapshot_every: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.store_root = store_root
         self.engine_jobs = engine_jobs
         self.retries = retries
         self.task_timeout = task_timeout
-        #: Emit a ``snapshot`` event (the engine's MetricsRegistry
-        #: snapshot) every N committed tasks; 0 = only at the end.
-        self.snapshot_every = snapshot_every
         self.queue_limit = queue_limit
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.hub = EventHub()
@@ -188,6 +182,8 @@ class JobManager:
             thread_name_prefix="repro-service")
         self._local = threading.local()
         self._store_registries: List[MetricsRegistry] = []
+        #: Every finished job's engine snapshot, folded in as it retires.
+        self._engine_totals: Dict[str, Any] = empty_snapshot()
 
     # -- stores --------------------------------------------------------
     def _store(self) -> ResultStore:
@@ -211,14 +207,17 @@ class JobManager:
             self.metrics.counter(name).inc(n)
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """Service counters plus merged per-thread store counters."""
+        """Service counters, merged per-thread store counters and the
+        engine counters of every finished job.
+
+        Costs O(1) in the number of finished jobs: each job's engine
+        snapshot is folded into one running total when it retires.
+        """
         with self._lock:
             service = self.metrics.snapshot()
             store = merge_snapshots(
                 r.snapshot() for r in self._store_registries)
-            engine = merge_snapshots(
-                job.engine_snapshot for job in self._jobs.values()
-                if job.engine_snapshot)
+            engine = merge_snapshots([self._engine_totals])
         return {"service": service, "store": store, "engine": engine}
 
     # -- job table -----------------------------------------------------
@@ -312,16 +311,10 @@ class JobManager:
         with self._lock:
             job.state = "running"
         registry = MetricsRegistry()
-        committed = [0]
 
         def progress(event: Dict[str, Any]) -> None:
             kind = event.pop("kind")
             job.log.append(kind, event)
-            if kind == "task":
-                committed[0] += 1
-                if self.snapshot_every and \
-                        committed[0] % self.snapshot_every == 0:
-                    job.log.append("snapshot", registry.snapshot())
 
         job.log.append("state", {"job_id": job.job_id, "state": "running"})
         try:
@@ -343,9 +336,8 @@ class JobManager:
                 job.state = "failed"
                 job.errors = [{"type": type(exc).__name__,
                                "message": str(exc), "timed_out": False}]
-                job.engine_snapshot = registry.snapshot()
                 self.metrics.counter("service.failed").inc()
-                self._retire_locked(job)
+                self._retire_locked(job, registry.snapshot())
             job.log.append("failed", {"state": "failed",
                                       "errors": job.errors})
             job.log.close()
@@ -353,14 +345,14 @@ class JobManager:
         errors = [{"index": e.index, "type": e.error_type,
                    "message": e.message, "timed_out": e.timed_out}
                   for e in result.errors]
-        job.log.append("snapshot", registry.snapshot())
+        snapshot = registry.snapshot()
+        job.log.append("snapshot", snapshot)
         with self._lock:
             job.hits = result.hits
             job.misses = result.misses
             job.retried = result.retried
             job.result_zlib = packed
             job.errors = errors
-            job.engine_snapshot = registry.snapshot()
             job.state = "failed" if errors else "done"
             self.metrics.counter("service.completed").inc()
             if errors:
@@ -368,7 +360,7 @@ class JobManager:
             self.metrics.counter("service.executed_tasks").inc(
                 result.misses)
             self.metrics.counter("service.cached_tasks").inc(result.hits)
-            self._retire_locked(job)
+            self._retire_locked(job, snapshot)
         if errors:
             job.log.append("failed", {"state": "failed", "errors": errors})
         else:
@@ -378,8 +370,13 @@ class JobManager:
                 "cached": job.cached})
         job.log.close()
 
-    def _retire_locked(self, job: Job) -> None:
-        """Release the job's queue slot (caller holds the lock)."""
+    def _retire_locked(self, job: Job,
+                       snapshot: Optional[Dict[str, Any]] = None) -> None:
+        """Release the job's queue slot and fold its engine ``snapshot``
+        into the running total (caller holds the lock)."""
+        if snapshot is not None:
+            self._engine_totals = merge_snapshots(
+                [self._engine_totals, snapshot])
         if not job.cached and self._active > 0:
             self._active -= 1
             self.metrics.gauge("service.queue_depth").set(self._active)

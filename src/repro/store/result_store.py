@@ -9,10 +9,11 @@ snapshot can be cached once and replayed forever.
 
 Layout under a configurable cache directory::
 
-    <root>/index.sqlite          key -> (shard, offset, length, sha256)
+    <root>/index.sqlite          tables ``entries`` (key -> shard,
+                                 offset, length, sha256), ``campaigns``
+                                 and ``campaign_keys`` (campaign
+                                 records, see repro.campaign.state)
     <root>/shards/<kk>.jsonl     append-only JSONL payload records
-    <root>/campaigns/<id>.json   campaign checkpoint states (see
-                                 repro.campaign.state)
 
 Design rules, in order:
 
@@ -21,19 +22,25 @@ Design rules, in order:
    hash, the reducer that produced the payload, and the code version
    that ran it.  Upgrading the package or changing the reducer
    naturally invalidates the cache without any explicit flush.
-2. **Writes are atomic at record granularity.**  ``put`` appends one
-   complete JSONL record (single buffered write + flush) and only then
-   commits the index row; a crash between the two leaves an orphan
-   record that GC reclaims, never a dangling index entry.
-3. **Reads never trust the shard.**  ``get`` re-verifies length, key
-   and sha256 of the record bytes; a truncated, bit-rotten or
-   mis-indexed record is dropped from the index and reported as a miss
-   (counter ``store.corrupt``), so the campaign simply re-runs that
-   task — corruption costs work, never a crash.
+2. **Writes are atomic at record granularity.**  ``put_many`` appends
+   complete JSONL records (fsynced per shard) and only then commits
+   their index rows; a crash between the two leaves orphan records
+   that GC reclaims, never a dangling index entry.
+3. **Reads never trust the shard.**  ``get_many`` re-verifies the
+   length, key and sha256 of the record bytes, then decodes the
+   payload; a truncated, bit-rotten, mis-indexed or undecodable record
+   is dropped from the index and reported as a miss (counter
+   ``store.corrupt``), so the campaign simply re-runs that task —
+   corruption costs work, never a crash.
 4. **Payloads are typed, not pickled blindly.**  JSON-native values
    are stored as JSON (inspectable with ``jq``); anything else falls
    back to pickle, base64-wrapped; large payloads are zlib-compressed.
    :func:`encode_value`/:func:`decode_value` round-trip equal values.
+5. **The store is the checkpoint.**  A campaign's record (its id,
+   name, status and ordered keys) is written to the index twice: at
+   start and at its terminal status.  Progress is never written; it is
+   the number of the record's keys still in ``entries``, and ``gc``
+   drops a record once none of its keys remain.
 
 The store is single-writer *per handle*: a :class:`ResultStore`
 instance (and its SQLite connection) belongs to one thread.  Several
@@ -54,12 +61,14 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import sqlite3
 import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..obs.registry import NULL_REGISTRY
 
@@ -79,6 +88,29 @@ DEFAULT_BUSY_TIMEOUT = 5.0
 #: operations, with doubling backoff starting here.
 _BUSY_RETRIES = 5
 _BUSY_BACKOFF = 0.02
+
+#: The index tables.  ``IF NOT EXISTS`` adds the campaign tables to a
+#: store created before they existed.
+_TABLES = (
+    "CREATE TABLE IF NOT EXISTS entries ("
+    " key TEXT PRIMARY KEY,"
+    " shard TEXT NOT NULL,"
+    " offset INTEGER NOT NULL,"
+    " length INTEGER NOT NULL,"
+    " sha256 TEXT NOT NULL,"
+    " created REAL NOT NULL,"
+    " last_used REAL NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS campaigns ("
+    " campaign_id TEXT PRIMARY KEY,"
+    " name TEXT NOT NULL,"
+    " status TEXT NOT NULL,"
+    " failed INTEGER NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS campaign_keys ("
+    " campaign_id TEXT NOT NULL,"
+    " position INTEGER NOT NULL,"
+    " key TEXT NOT NULL,"
+    " PRIMARY KEY (campaign_id, position))",
+)
 
 #: Serialises shard-file appends across every ResultStore instance in
 #: this process, so the offset each writer records in its index row is
@@ -170,6 +202,7 @@ class GCStats:
     kept: int = 0
     bytes_before: int = 0
     bytes_after: int = 0
+    campaigns_dropped: int = 0
 
 
 class ResultStore:
@@ -189,22 +222,13 @@ class ResultStore:
         self.metrics = metrics
         self.compress_threshold = compress_threshold
         self.shard_dir = os.path.join(self.root, "shards")
-        self.campaign_dir = os.path.join(self.root, "campaigns")
         os.makedirs(self.shard_dir, exist_ok=True)
-        os.makedirs(self.campaign_dir, exist_ok=True)
         self._db = sqlite3.connect(os.path.join(self.root, "index.sqlite"),
                                    timeout=busy_timeout)
         self._db.execute(
             f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}")
-        self._retry(lambda: self._db.execute(
-            "CREATE TABLE IF NOT EXISTS entries ("
-            " key TEXT PRIMARY KEY,"
-            " shard TEXT NOT NULL,"
-            " offset INTEGER NOT NULL,"
-            " length INTEGER NOT NULL,"
-            " sha256 TEXT NOT NULL,"
-            " created REAL NOT NULL,"
-            " last_used REAL NOT NULL)"))
+        for table in _TABLES:
+            self._retry(lambda table=table: self._db.execute(table))
         self._commit()
 
     def _retry(self, operation: Callable[[], Any]) -> Any:
@@ -267,33 +291,12 @@ class ResultStore:
         return row is not None
 
     def get(self, key: str) -> Optional[Any]:
-        """The payload stored under ``key``, or None on miss.
+        """The payload stored under ``key``, or None on a miss.
 
-        Any record that fails verification (short read, key mismatch,
-        checksum mismatch, undecodable payload) is evicted from the
-        index and reported as a miss — the caller re-runs the task.
+        A one-key :meth:`get_many`, so a record that fails verification
+        or decoding is evicted and read as a miss here too.
         """
-        row = self._db.execute(
-            "SELECT shard, offset, length, sha256 FROM entries"
-            " WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            self.metrics.counter("store.miss").inc()
-            return None
-        shard, offset, length, digest = row
-        record = self._read_record(shard, offset, length, digest, key)
-        if record is None:
-            self.metrics.counter("store.corrupt").inc()
-            self.metrics.counter("store.miss").inc()
-            self._retry(lambda: self._db.execute(
-                "DELETE FROM entries WHERE key = ?", (key,)))
-            self._commit()
-            return None
-        self.metrics.counter("store.hit").inc()
-        self._retry(lambda: self._db.execute(
-            "UPDATE entries SET last_used = ? WHERE key = ?",
-            (time.time(), key)))
-        self._commit()
-        return decode_value(record["enc"], record["payload"])
+        return self.get_many([key]).get(key)
 
     def _read_record(self, shard: str, offset: int, length: int,
                      digest: str, key: str) -> Optional[Dict[str, Any]]:
@@ -324,28 +327,8 @@ class ResultStore:
         return record
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` (last write wins)."""
-        enc, payload = encode_value(value, self.compress_threshold)
-        line = json.dumps({"schema": STORE_SCHEMA, "key": key,
-                           "enc": enc, "payload": payload},
-                          sort_keys=True, separators=(",", ":"))
-        blob = line.encode("utf-8")
-        shard = self._shard_for(key)
-        with _APPEND_LOCK:
-            with open(self._shard_path(shard), "ab") as fh:
-                offset = fh.tell()
-                fh.write(blob + b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-        now = time.time()
-        self._retry(lambda: self._db.execute(
-            "INSERT OR REPLACE INTO entries"
-            " (key, shard, offset, length, sha256, created, last_used)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (key, shard, offset, len(blob),
-             hashlib.sha256(blob).hexdigest(), now, now)))
-        self._commit()
-        self.metrics.counter("store.put").inc()
+        """Store ``value`` under ``key`` (a one-item :meth:`put_many`)."""
+        self.put_many([(key, value)])
 
     # -- batched primitives --------------------------------------------
     #: Keys per IN-clause chunk, comfortably under SQLite's default
@@ -359,9 +342,10 @@ class ResultStore:
         last-used UPDATE and one commit *per task*; this consults the
         index in :data:`_IN_CHUNK`-sized ``IN`` batches, opens each
         shard file once for all its records, batches the last-used
-        refresh through ``executemany`` and commits once.  Verification
-        and eviction semantics are identical to :meth:`get` — counters
-        included — so callers may mix the two freely.
+        refresh through ``executemany`` and commits once.  A record that
+        fails verification (short read, key mismatch, checksum mismatch)
+        or decoding is evicted from the index and read as a miss,
+        counted as ``store.corrupt`` and ``store.miss``.
         """
         keys = list(keys)
         rows: Dict[str, Tuple[str, int, int, str]] = {}
@@ -421,10 +405,10 @@ class ResultStore:
     def put_many(self, items) -> None:
         """Store every ``(key, value)`` pair (last write wins).
 
-        One shard append + fsync per distinct shard and one index
-        commit for the whole batch — the engine uses this to commit a
-        replicate batch's worth of results in one durability round-trip
-        instead of one per replicate.
+        The records are appended and fsynced before one index commit
+        covers the whole batch.  The fsync is per distinct shard, and
+        keys spread over 256 shards by their first two hex digits, so a
+        batch of R results pays up to ``min(R, 256)`` fsyncs, not one.
         """
         by_shard: Dict[str, list] = {}
         count = 0
@@ -473,6 +457,69 @@ class ResultStore:
             " ORDER BY key", (escaped + "%",))
         return [key for (key,) in rows]
 
+    # -- campaign records ----------------------------------------------
+    def put_campaign(self, campaign_id: str, name: str, status: str,
+                     failed: int = 0,
+                     keys: Optional[Sequence[str]] = None) -> None:
+        """Write one campaign record in one index commit.
+
+        With ``keys`` (the start write) the record and its ordered keys
+        are written whole.  Without them (the terminal write) only an
+        existing record changes, so a record ``gc`` dropped meanwhile
+        stays dropped.
+        """
+        def write() -> None:
+            if keys is None:
+                self._db.execute(
+                    "UPDATE campaigns SET name = ?, status = ?, failed = ?"
+                    " WHERE campaign_id = ?",
+                    (name, status, failed, campaign_id))
+                return
+            self._db.execute(
+                "INSERT OR REPLACE INTO campaigns"
+                " (campaign_id, name, status, failed) VALUES (?, ?, ?, ?)",
+                (campaign_id, name, status, failed))
+            self._db.executemany(
+                "INSERT OR REPLACE INTO campaign_keys"
+                " (campaign_id, position, key) VALUES (?, ?, ?)",
+                [(campaign_id, position, key)
+                 for position, key in enumerate(keys)])
+
+        self._retry(write)
+        self._commit()
+
+    def campaigns(self, campaign_id: Optional[str] = None
+                  ) -> List[Dict[str, Any]]:
+        """Campaign records, with their progress read from the index.
+
+        Each record is a dict of ``campaign_id``, ``name``, ``status``,
+        ``total`` (its keys), ``done`` (those of its keys ``entries``
+        still holds) and ``failed``, sorted by id; ``campaign_id``
+        selects one.
+        """
+        where, args = ("", ())
+        if campaign_id is not None:
+            where, args = " WHERE c.campaign_id = ?", (campaign_id,)
+        rows = self._db.execute(
+            "SELECT c.campaign_id, c.name, c.status, COUNT(k.key),"
+            " COUNT(e.key), c.failed FROM campaigns c"
+            " LEFT JOIN campaign_keys k ON k.campaign_id = c.campaign_id"
+            " LEFT JOIN entries e ON e.key = k.key" + where +
+            " GROUP BY c.campaign_id ORDER BY c.campaign_id", args)
+        fields = ("campaign_id", "name", "status", "total", "done", "failed")
+        return [dict(zip(fields, row)) for row in rows]
+
+    def _drop_stale_campaigns(self) -> int:
+        """Drop every campaign record none of whose keys remain."""
+        cur = self._db.execute(
+            "DELETE FROM campaigns WHERE campaign_id NOT IN ("
+            " SELECT k.campaign_id FROM campaign_keys k"
+            " JOIN entries e ON e.key = k.key)")
+        self._db.execute(
+            "DELETE FROM campaign_keys WHERE campaign_id NOT IN ("
+            " SELECT campaign_id FROM campaigns)")
+        return cur.rowcount
+
     # -- maintenance ---------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """Index and shard footprint (for ``campaign status``).
@@ -497,14 +544,15 @@ class ResultStore:
 
     def gc(self, max_entries: Optional[int] = None,
            max_age_seconds: Optional[float] = None) -> GCStats:
-        """Evict old entries and compact shards.
+        """Evict old entries, compact shards, drop stale campaigns.
 
         Entries older than ``max_age_seconds`` (by ``last_used``) go
         first; if more than ``max_entries`` remain, the least recently
         used excess goes too.  Shards are then rewritten to contain
         exactly the surviving records — dropping orphans from
-        interrupted ``put``s and superseded duplicate keys — with index
-        offsets updated atomically per shard.
+        interrupted ``put_many``s and superseded duplicate keys — with
+        index offsets updated atomically per shard.  Last, every
+        campaign record none of whose keys remain is dropped.
         """
         stats = GCStats(bytes_before=self.stats()["shard_bytes"])
         now = time.time()
@@ -524,6 +572,13 @@ class ResultStore:
         self._db.commit()
         stats.kept = len(self)
         stats.orphans_dropped = self._compact()
+        stats.campaigns_dropped = self._drop_stale_campaigns()
+        self._db.commit()
+        self._db.execute("VACUUM")
+        # Campaign records were JSON files under campaigns/ before they
+        # moved into the index; nothing reads that directory any more.
+        shutil.rmtree(os.path.join(self.root, "campaigns"),
+                      ignore_errors=True)
         stats.bytes_after = self.stats()["shard_bytes"]
         return stats
 
@@ -531,7 +586,7 @@ class ResultStore:
         """Rewrite every shard keeping only live, verifiable records.
 
         Returns the number of shard records dropped: orphans from
-        interrupted ``put``s, records superseded by a later write of
+        interrupted ``put_many``s, records superseded by a later write of
         the same key, evicted entries' payloads, and corrupt bytes.
         """
         dropped = 0
@@ -571,7 +626,6 @@ class ResultStore:
             self._db.commit()
             if not live:
                 os.remove(path)
-        self._db.execute("VACUUM")
         return dropped
 
 

@@ -21,7 +21,6 @@ from repro.campaign import (
     build_campaign,
     campaign_id,
     campaign_tasks,
-    load_all_states,
     result_document,
     run_campaign,
     table2_campaign,
@@ -137,45 +136,70 @@ class TestCheckpointResume:
         defn = validation_campaign(repetitions=REPS)
         tasks = campaign_tasks(defn.labeled_specs)
         cid = campaign_id(t.key for t in tasks)
-        path = os.path.join(store.campaign_dir, cid + ".json")
         CampaignState(campaign_id=cid, name="validate",
-                      total=len(tasks), completed=3).save(path)
+                      keys=[t.key for t in tasks]).save(store)
         with pytest.raises(InterruptedCampaignError, match="--resume"):
             run_campaign(defn.labeled_specs, store=store)
-        # resume=True proceeds and completes the state
+        # resume=True proceeds and completes the record
         result = run_campaign(defn.labeled_specs, store=store, resume=True)
         assert result.ok
-        assert CampaignState.load(path).status == "completed"
+        assert store.campaigns(cid)[0]["status"] == "completed"
+
+    def test_refusal_names_the_done_count_from_the_store(self, store):
+        specs = [("t%d" % i, _spec(seed=i)) for i in range(3)]
+        run_campaign(specs[:1], store=store)
+        tasks = campaign_tasks(specs)
+        CampaignState(campaign_id=campaign_id(t.key for t in tasks),
+                      name="campaign", keys=[t.key for t in tasks]
+                      ).save(store)
+        with pytest.raises(InterruptedCampaignError,
+                           match=r"\(1/3 done in the store\)"):
+            run_campaign(specs, store=store)
 
     def test_state_file_tracks_progress(self, store):
+        # Progress is read from the index: the record's keys joined
+        # with the committed entries.
         defn = validation_campaign(repetitions=REPS)
         run_campaign(defn.labeled_specs, store=store, name="validate")
         tasks = campaign_tasks(defn.labeled_specs)
-        state = CampaignState.load(os.path.join(
-            store.campaign_dir,
-            campaign_id(t.key for t in tasks) + ".json"))
-        assert state.status == "completed"
-        assert state.completed == state.total == len(tasks)
-        assert state.failed == 0
+        [record] = store.campaigns(campaign_id(t.key for t in tasks))
+        assert record["name"] == "validate"
+        assert record["status"] == "completed"
+        assert record["done"] == record["total"] == len(tasks)
+        assert record["failed"] == 0
 
-    def test_corrupt_state_file_treated_as_absent(self, tmp_path):
-        path = str(tmp_path / "state.json")
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        assert CampaignState.load(path) is None
+    @pytest.mark.parametrize("n_tasks", [1, 6])
+    def test_record_written_twice_whatever_the_task_count(
+            self, store, monkeypatch, n_tasks):
+        saves = []
+        real = CampaignState.save
+
+        def counted(record, target):
+            saves.append(record.status)
+            return real(record, target)
+
+        monkeypatch.setattr(CampaignState, "save", counted)
+        specs = [("t%d" % i, _spec(seed=i)) for i in range(n_tasks)]
+        run_campaign(specs, store=store)
+        assert saves == ["running", "completed"]
+        # a warm re-run writes its record twice as well
+        run_campaign(specs, store=store)
+        assert len(saves) == 4
+        # the record lives in the index: no file per campaign
+        assert sorted(os.listdir(store.root)) == ["index.sqlite", "shards"]
 
 
 class TestFaultTolerance:
     def test_empty_campaign_returns_empty_result(self, store):
         # An empty spec list is a valid degenerate campaign: it must
-        # return an empty (and ok) result without touching the store's
-        # checkpoint machinery or spinning up any backend.
+        # return an empty (and ok) result without writing a campaign
+        # record or spinning up any backend.
         result = run_campaign([], store=store)
         assert result.tasks == []
         assert result.results == []
         assert result.snapshots == []
         assert result.ok
-        assert load_all_states(store.campaign_dir) == []
+        assert store.campaigns() == []
 
     def test_failing_task_does_not_abort_siblings(self):
         sleeps = []
@@ -267,9 +291,9 @@ class TestFaultTolerance:
         result = run_campaign([("boom", _failing_spec())], store=store,
                               retries=0, sleep=lambda _t: None)
         assert not result.ok
-        states = load_all_states(store.campaign_dir)
-        assert states and states[0].status == "failed"
-        assert states[0].failed == 1
+        [record] = store.campaigns()
+        assert (record["status"], record["failed"]) == ("failed", 1)
+        assert (record["done"], record["total"]) == (0, 1)
 
     def test_failures_excluded_from_result_document(self):
         defn = build_campaign("validate", reps=REPS)

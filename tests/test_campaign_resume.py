@@ -1,21 +1,22 @@
 """Kill/resume smoke: SIGKILL a campaign mid-flight, resume, same bytes.
 
-Launches ``repro-diag campaign run`` as a real subprocess, SIGKILLs it
-while it is (most likely) mid-campaign, resumes with ``--resume`` and
-asserts the final ``--out`` document and metrics report are
-byte-identical to an uninterrupted reference run.  The assertion holds
-on every interleaving: if the kill lands before any chunk committed the
-resume simply re-runs everything; if it lands after completion the
-resume is pure cache replay — determinism is what's under test, not
-the race.
+Launches ``repro-diag campaign run`` as a real subprocess and SIGKILLs
+it as soon as the store's index holds its first committed result, so
+the kill always lands mid-campaign.  The campaign record then reads
+``running``, a plain re-run refuses with exit 3, and ``--resume``
+completes it into ``--out`` and metrics documents byte-identical to an
+uninterrupted reference run.
 """
 
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
+
+from repro.store import ResultStore
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -36,11 +37,29 @@ def _run_cli(args, check=True):
     return proc
 
 
-def _checkpoint_statuses(store):
-    from repro.campaign import load_all_states
+def _holds_an_entry(store):
+    """Whether the store's index lists a result (a read-only probe)."""
+    uri = "file:" + os.path.join(store, "index.sqlite") + "?mode=ro"
+    try:
+        db = sqlite3.connect(uri, uri=True)
+    except sqlite3.OperationalError:
+        return False  # not created yet
+    try:
+        return db.execute("SELECT COUNT(*) FROM entries").fetchone()[0] > 0
+    except sqlite3.OperationalError:
+        return False  # no table yet, or the writer holds the lock
+    finally:
+        db.close()
 
-    return [state.status for state
-            in load_all_states(os.path.join(store, "campaigns"))]
+
+def _kill_after_first_commit(victim, store, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not _holds_an_entry(store):
+        assert victim.poll() is None, "campaign exited before a commit"
+        assert time.monotonic() < deadline, "no result committed in time"
+        time.sleep(0.01)
+    victim.send_signal(signal.SIGKILL)
+    victim.wait()
 
 
 def test_sigkill_resume_is_byte_identical(tmp_path):
@@ -54,37 +73,35 @@ def test_sigkill_resume_is_byte_identical(tmp_path):
     # Uninterrupted reference: no store, serial.
     _run_cli([*campaign, "--no-store", "--out", ref_out,
               "--metrics-out", ref_metrics])
+    with open(ref_out, "rb") as fh:
+        ref_bytes = fh.read()
+    total = len(json.loads(ref_bytes)["tasks"])
 
-    # Start the same campaign against a store and SIGKILL it mid-flight.
+    # Start the same campaign against a store and SIGKILL it once its
+    # first result is committed.
     victim = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *campaign,
          "--store", store, "--jobs", "2",
          "--out", killed_out, "--metrics-out", killed_metrics],
         env=_cli_env(), stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
-    time.sleep(0.9)
-    if victim.poll() is None:
-        victim.send_signal(signal.SIGKILL)
-    victim.wait()
+    _kill_after_first_commit(victim, store)
 
-    # If the kill landed mid-campaign, a plain re-run must refuse...
-    # "Mid-campaign" is read from the checkpoint, not from the exit
-    # code: a SIGKILL that lands after the checkpoint reads completed
-    # (while the CLI is still writing --out) leaves nothing to resume.
-    interrupted = "running" in _checkpoint_statuses(store)
-    if interrupted:
-        refused = _run_cli([*campaign, "--store", store], check=False)
-        assert refused.returncode == 3
-        assert "--resume" in refused.stderr
+    # The record still reads running, so a plain re-run refuses...
+    with ResultStore(store) as opened:
+        [record] = opened.campaigns()
+    assert record["status"] == "running"
+    assert 0 < record["done"] < record["total"] == total
+    refused = _run_cli([*campaign, "--store", store], check=False)
+    assert refused.returncode == 3
+    assert "--resume" in refused.stderr
 
-    # ...and --resume must complete it from the checkpoint.
+    # ...and --resume completes it from the store.
     resumed = _run_cli([*campaign, "--store", store, "--resume",
                         "--jobs", "2", "--out", killed_out,
                         "--metrics-out", killed_metrics])
     assert "all passed: True" in resumed.stdout
 
-    with open(ref_out, "rb") as fh:
-        ref_bytes = fh.read()
     with open(killed_out, "rb") as fh:
         resumed_bytes = fh.read()
     assert resumed_bytes == ref_bytes
@@ -94,9 +111,10 @@ def test_sigkill_resume_is_byte_identical(tmp_path):
         resumed_m = fh.read()
     assert resumed_m == ref_m
 
-    # The checkpoint now reads completed, and a warm re-run is all hits.
+    # The record now reads completed, and a warm re-run is all hits.
     status = _run_cli(["campaign", "status", "--store", store])
     assert "completed" in status.stdout
+    assert f" {total}/{total} " in status.stdout
     warm = _run_cli([*campaign, "--store", store, "--out", killed_out])
-    total = json.loads(ref_bytes)["tasks"]
-    assert f"{len(total)} task(s): {len(total)} cached" in warm.stdout
+    assert f"{total} task(s): {total} cached" in warm.stdout
+    assert not os.path.exists(os.path.join(store, "campaigns"))

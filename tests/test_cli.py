@@ -248,4 +248,31 @@ def test_campaign_status_and_gc(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "evicted 14" in out
     assert main(["campaign", "status", "--store", store]) == 0
-    assert "4 cached result(s)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "4 cached result(s)" in out
+    assert " 4/18 " in out  # progress is read from the index
+
+
+def test_gc_of_every_result_lists_no_campaign(capsys, tmp_path):
+    store = str(tmp_path / "store")
+    # A campaign-record file as stores kept them before records moved
+    # into the index: never read, and deleted by gc.
+    legacy = tmp_path / "store" / "campaigns"
+    legacy.mkdir(parents=True)
+    (legacy / "0123456789abcdef.json").write_text('{"status": "running"}')
+    assert main(["campaign", "run", "validate", "--reps", "1",
+                 "--store", store]) == 0
+    assert main(["campaign", "run", "table2", "--store", store]) == 0
+    capsys.readouterr()
+    assert main(["campaign", "status", "--store", store]) == 0
+    out = capsys.readouterr().out
+    assert " 18/18 " in out and " 4/4 " in out
+    assert "0123456789abcdef" not in out
+    assert main(["campaign", "gc", "--store", store,
+                 "--max-entries", "0"]) == 0
+    assert "2 campaign(s)" in capsys.readouterr().out
+    assert not legacy.exists()
+    assert main(["campaign", "status", "--store", store]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("no campaigns in ")
+    assert "0 cached result(s)" in out

@@ -18,9 +18,10 @@ import time
 import pytest
 
 import repro.service.jobs as jobs_module
-from repro.campaign import result_document, run_campaign
+from repro.campaign import CampaignState, result_document, run_campaign
 from repro.cli import main
 from repro.obs.export import render_json
+from repro.obs.registry import merge_snapshots
 from repro.service import (
     BadRequestError,
     JobEventLog,
@@ -491,3 +492,57 @@ class TestJobManager:
         assert queued.job.state == "failed"
         assert queued.job.errors[0]["type"] == "ServiceShutdown"
         assert queued.job.log.closed
+
+    def test_engine_metrics_fold_each_terminal_snapshot(self, tmp_path):
+        # /v1/metrics keeps one running total of the finished jobs'
+        # engine snapshots instead of re-merging them per call; the
+        # total is the merge of every terminal `snapshot` event.
+        manager = _manager(tmp_path)
+        try:
+            requests = [
+                parse_job_request(_spec(seed=1).to_dict()),
+                parse_job_request({"specs": [_spec(seed=2).to_dict(),
+                                             _spec(seed=3).to_dict()]}),
+                # half warm: seed 1 is already in the store
+                parse_job_request({"specs": [_spec(seed=1).to_dict(),
+                                             _spec(seed=4).to_dict()]}),
+                parse_job_request(_spec(seed=5).to_dict()),
+            ]
+            jobs = [_wait(manager.submit(r).job) for r in requests]
+            payloads = [json.loads(frame.split(b"data: ", 1)[1])
+                        for job in jobs
+                        for _seq, kind, frame in job.log.events()
+                        if kind == "snapshot"]
+            assert len(payloads) == len(jobs)
+            engine = manager.metrics_snapshot()["engine"]
+            assert engine == merge_snapshots(payloads)
+            assert engine["counters"]["campaign.tasks"] == 6
+        finally:
+            manager.shutdown()
+
+    @pytest.mark.parametrize("n_specs", [1, 6])
+    def test_served_job_writes_its_record_twice(self, tmp_path, monkeypatch,
+                                               n_specs):
+        saves = []
+        real = CampaignState.save
+
+        def counted(record, store):
+            saves.append(record.status)
+            return real(record, store)
+
+        monkeypatch.setattr(CampaignState, "save", counted)
+        request = parse_job_request(
+            {"specs": [_spec(seed=i).to_dict() for i in range(n_specs)]})
+        manager = _manager(tmp_path)
+        try:
+            assert _wait(manager.submit(request).job).state == "done"
+        finally:
+            manager.shutdown()
+        assert saves == ["running", "completed"]
+        store_root = str(tmp_path / "store")
+        assert sorted(os.listdir(store_root)) == ["index.sqlite", "shards"]
+        with ResultStore(store_root) as store:
+            [record] = store.campaigns()
+        assert record["campaign_id"] == request.job_id
+        assert (record["status"], record["done"], record["total"]) == \
+            ("completed", n_specs, n_specs)

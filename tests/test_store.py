@@ -7,13 +7,16 @@ and any damaged record must read as a *miss* — never a crash — so a
 campaign simply re-runs the task.
 """
 
+import base64
 import json
 import os
+import pickle
 
 import pytest
 
 from repro import __version__
 from repro.obs import MetricsRegistry
+from repro.store import result_store
 from repro.spec import ClusterSpec, ProtocolSpec, RunSpec
 from repro.store import (
     ResultStore,
@@ -147,6 +150,27 @@ class TestResultStore:
             blob[len(blob) // 2] ^= 0xFF
             open(shard, "wb").write(bytes(blob))
             assert store.get(key) is None
+
+    def test_undecodable_payload_reads_as_miss_through_get(
+            self, tmp_path, monkeypatch):
+        # A checksum-valid record whose pickle is truncated: `get` is a
+        # one-key `get_many`, so it evicts the record and misses.
+        def truncated_pickle(value, _threshold):
+            raw = pickle.dumps(value)[:-3]
+            return "pickle", base64.b64encode(raw).decode("ascii")
+
+        metrics = MetricsRegistry()
+        with ResultStore(str(tmp_path), metrics=metrics) as store:
+            key = "5e" + "p" * 62
+            monkeypatch.setattr(result_store, "encode_value",
+                                truncated_pickle)
+            store.put(key, {1, 2, 3})
+            monkeypatch.undo()
+            assert store.get(key) is None
+            assert not store.has(key)
+        counters = metrics.snapshot()["counters"]
+        assert counters["store.corrupt"] == 1
+        assert counters["store.miss"] == 1
 
     def test_get_many_matches_get_semantics(self, tmp_path):
         metrics = MetricsRegistry()
