@@ -30,9 +30,9 @@ def test_membership_clique_detection(benchmark):
         rows.append((
             f"slot {sender}", seed,
             "{1}",
-            "yes" if result.detected else "NO",
-            result.view_latency_rounds,
-            "{" + ",".join(map(str, result.final_view or ())) + "}",
+            "yes" if result["detected"] else "NO",
+            result["view_latency_rounds"],
+            "{" + ",".join(map(str, result["final_view"] or ())) + "}",
         ))
     text = render_table(
         ["disturbed slot", "seed", "minority clique", "detected",
@@ -42,7 +42,7 @@ def test_membership_clique_detection(benchmark):
               "Node 1 and the cluster)")
     emit("membership_cliques", text)
 
-    assert all(r.passed for _s, _seed, r in results)
+    assert all(r["passed"] for _s, _seed, r in results)
     # Theorem 2: two executions of the modified protocol = two pipeline
     # depths (3 rounds each) after the fault.
-    assert all(r.view_latency_rounds <= 6 for _s, _seed, r in results)
+    assert all(r["view_latency_rounds"] <= 6 for _s, _seed, r in results)

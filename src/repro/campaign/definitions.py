@@ -95,7 +95,7 @@ def validation_campaign(repetitions: int = 5,
     def aggregate(results: List[Any]) -> "CampaignSummary":
         summary = CampaignSummary()
         for (cls, _spec), result in zip(labeled, results):
-            summary.add(cls, result.passed)
+            summary.add(cls, result["passed"])
         return summary
 
     return CampaignDefinition(
@@ -121,6 +121,11 @@ def table2_campaign(seed: int = 0,
 
     if round_length is None:
         round_length = PAPER_ROUND_LENGTH
+    # A result document's params arrive here unchecked.
+    if not (isinstance(round_length, (int, float))
+            and 0 < round_length < math.inf):
+        raise ValueError(f"'round_length' must be a positive number, "
+                         f"got {round_length!r}")
     domains = (("Automotive", AUTOMOTIVE_TOLERATED_OUTAGE),
                ("Aerospace", AEROSPACE_TOLERATED_OUTAGE))
     labeled: List[Tuple[str, RunSpec]] = []

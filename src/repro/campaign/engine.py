@@ -138,23 +138,23 @@ def _deadline(seconds: Optional[float]):
 
 
 def execute_spec_task(spec_dict: dict,
-                      timeout: Optional[float] = None) -> Tuple[Any, dict]:
+                      timeout: Optional[float] = None) -> List[Any]:
     """The campaign pool worker: one metered spec run under a deadline.
 
-    Always collects metrics — the snapshot is cached alongside the
-    result so warm campaigns replay observability byte-identically.
+    Returns ``[result, snapshot]``.  Always collects metrics — the
+    snapshot is cached alongside the result so warm campaigns replay
+    observability byte-identically.
     """
     with _deadline(timeout):
         return run_spec_dict(spec_dict, collect_metrics=True)
 
 
 def execute_batch_task(spec_dict: dict, seeds: List[int],
-                       timeout: Optional[float] = None
-                       ) -> List[Tuple[Any, dict]]:
+                       timeout: Optional[float] = None) -> List[List[Any]]:
     """Pool worker for a vectorized replicate batch under one deadline.
 
     One kernel execution simulates every seed in lockstep; the return
-    value is one ``(result, snapshot)`` pair per seed, each exactly
+    value is one ``[result, snapshot]`` pair per seed, each exactly
     what :func:`execute_spec_task` would produce for the seed-shifted
     spec — so batched and per-task dispatch fill the store with the
     same bytes.
@@ -163,7 +163,7 @@ def execute_batch_task(spec_dict: dict, seeds: List[int],
         from ..vec import execute_batch
 
         spec = RunSpec.from_dict(spec_dict)
-        return execute_batch(spec, seeds=seeds, collect_metrics=True)
+        return execute_batch(spec, seeds)
 
 
 def _replicate_groups(tasks: List["CampaignTask"],
@@ -424,9 +424,7 @@ def run_campaign(specs: SpecsInput,
         for completion in backend.as_completed():
             members = item_members.pop(completion.item.item_id)
             if completion.error is None:
-                values = (completion.value if completion.item.kind == "batch"
-                          else [completion.value])
-                for index, (result, snapshot) in zip(members, values):
+                for index, (result, snapshot) in zip(members, completion.value):
                     _commit(index, result, snapshot)
                 if store is not None:
                     store.put_many([(tasks[index].key, _payload(index))

@@ -283,14 +283,6 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     return 0
 
 
-def _result_passed(result) -> Optional[bool]:
-    """A result's pass verdict, if it carries one (else None)."""
-    passed = getattr(result, "passed", None)
-    if passed is None and isinstance(result, dict):
-        passed = result.get("passed")
-    return passed
-
-
 def _read_spec_file(path: str):
     """The ad-hoc campaign of a RunSpec JSON file (``-`` = stdin)."""
     from .campaign import specs_campaign
@@ -324,13 +316,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {error.error_type}: {error.message}",
               file=sys.stderr)
         return 2
-    failed = 0
+    # A result scores a run when it carries a ``passed`` verdict.
+    verdicts = [outcome.get("passed") if isinstance(outcome, dict) else None
+                for outcome in result.results]
     for outcome in result.results:
         print(outcome)
-        if _result_passed(outcome) is False:
-            failed += 1
-    verdicts = [_result_passed(r) for r in result.results]
-    scored = sum(1 for v in verdicts if v is not None)
+    scored = sum(v is not None for v in verdicts)
+    failed = sum(v is False for v in verdicts)
     print(f"{len(result.results)} run(s), {scored} scored, {failed} failed")
     if args.metrics_out:
         _write_metrics_report(args.metrics_out, "run", definition.params,
@@ -536,9 +528,9 @@ def _cmd_results_diff(args: argparse.Namespace) -> int:
     try:
         doc_a = source.load_document(args.a)
         doc_b = source.load_document(args.b)
+        diff = diff_documents(doc_a, doc_b)
     except (OSError, ValueError) as exc:
         return _error(exc)
-    diff = diff_documents(doc_a, doc_b)
     store = None
     if args.store:
         from .obs import MetricsRegistry

@@ -83,11 +83,7 @@ from .validation import (
     FAULT_ROUND,
     PAPER_N_NODES,
     VALIDATION_TABLE,
-    BurstResult,
     CampaignSummary,
-    CliqueResult,
-    MaliciousResult,
-    PenaltyRewardResult,
     expected_faulty_slots,
     run_burst_experiment,
     run_clique_experiment,
@@ -152,11 +148,7 @@ __all__ = [
     "measure_penalty_budget",
     "FAULT_ROUND",
     "PAPER_N_NODES",
-    "BurstResult",
     "CampaignSummary",
-    "CliqueResult",
-    "MaliciousResult",
-    "PenaltyRewardResult",
     "expected_faulty_slots",
     "run_burst_experiment",
     "run_clique_experiment",

@@ -20,7 +20,8 @@ builders return :class:`~repro.spec.RunSpec` values naming a reducer
 registered here, and the ``run_*`` functions simply
 :func:`~repro.spec.execute` them.  The reducers score the finished
 cluster against the paper's properties (correctness, completeness,
-consistency; counter behaviour; view changes).
+consistency; counter behaviour; view changes) and return JSON dicts
+with a ``passed`` verdict.
 :func:`validation_specs` enumerates the whole campaign as serializable
 specs; :func:`repro.campaign.validation_campaign` runs it through the
 campaign engine (``repro-diag validate``).
@@ -29,7 +30,7 @@ campaign engine (``repro-diag validate``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..analysis.metrics import (
     completeness_holds,
@@ -66,25 +67,6 @@ def _default_config(n_nodes: int = PAPER_N_NODES) -> ProtocolConfig:
 
 def _default_protocol(n_nodes: int) -> ProtocolSpec:
     return ProtocolSpec.from_config(_default_config(n_nodes))
-
-
-@dataclass
-class BurstResult:
-    """Outcome of one bursty-fault injection."""
-
-    n_slots: int
-    start_slot: int
-    #: Slots expected faulty, per round: round -> sorted node IDs.
-    expected: Dict[int, Tuple[int, ...]]
-    #: What the cluster diagnosed: round -> {node: health vector}.
-    diagnosed: Dict[int, Dict[int, Tuple[int, ...]]]
-    consistent: bool
-    complete: bool
-    correct: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.consistent and self.complete and self.correct
 
 
 def expected_faulty_slots(n_nodes: int, start_slot: int,
@@ -126,11 +108,16 @@ class BurstReducer:
 
     The ground truth is re-derived from the spec's own ``SlotBurst``
     parameters, so the reducer needs no side-channel beyond the spec.
+    The result is ``{"n_slots", "start_slot", "expected": {round:
+    [faulty senders]}, "diagnosed": {round: {node: health vector}},
+    "consistent", "complete", "correct", "passed"}`` with rounds and
+    nodes as string keys; ``passed`` is the conjunction of the three
+    properties.
     """
 
     name = "validation.burst"
 
-    def reduce(self, target, spec, state) -> BurstResult:
+    def reduce(self, target, spec, state) -> Dict[str, Any]:
         """Score the finished run against the paper's three properties."""
         params = spec.scenarios[0].params
         n_nodes = spec.protocol.n_nodes
@@ -139,12 +126,13 @@ class BurstReducer:
         expected = expected_faulty_slots(n_nodes, start_slot, n_slots,
                                          fault_round=params["round_index"])
         obedient = target.obedient_node_ids()
-        diagnosed: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        diagnosed: Dict[str, Dict[str, List[int]]] = {}
         complete = True
         correct = True
         for d_round, faulty in expected.items():
             vectors = diagnoses_for_round(target.trace, d_round, obedient)
-            diagnosed[d_round] = vectors
+            diagnosed[str(d_round)] = {str(node): list(hv)
+                                       for node, hv in vectors.items()}
             for f in faulty:
                 if not completeness_holds(target.trace, d_round, f, obedient):
                     complete = False
@@ -154,36 +142,22 @@ class BurstReducer:
                                      obedient):
                 correct = False
         consistent = not consistency_violations(target.trace, obedient)
-        return BurstResult(n_slots=n_slots, start_slot=start_slot,
-                           expected=expected, diagnosed=diagnosed,
-                           consistent=consistent, complete=complete,
-                           correct=correct)
+        return {"n_slots": n_slots, "start_slot": start_slot,
+                "expected": {str(r): list(faulty)
+                             for r, faulty in expected.items()},
+                "diagnosed": diagnosed, "consistent": consistent,
+                "complete": complete, "correct": correct,
+                "passed": consistent and complete and correct}
 
 
 def run_burst_experiment(n_slots: int, start_slot: int, seed: int = 0,
                          n_nodes: int = PAPER_N_NODES,
                          round_length: float = PAPER_ROUND_LENGTH,
-                         metrics=None) -> BurstResult:
+                         metrics=None) -> Dict[str, Any]:
     """One injection of a burst of ``n_slots`` slots from ``start_slot``."""
     return execute(burst_spec(n_slots, start_slot, seed=seed,
                               n_nodes=n_nodes, round_length=round_length),
                    metrics=metrics)
-
-
-@dataclass
-class PenaltyRewardResult:
-    """Outcome of the counter-update experiment."""
-
-    target: int
-    #: (diagnosed_round, penalty, reward) evolution at one observer.
-    evolution: List[Tuple[int, int, int]]
-    #: Whether one of the two counters changed at every diagnosed round.
-    counters_progress: bool
-    consistent: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.counters_progress and self.consistent
 
 
 def penalty_reward_spec(target: int = 2, seed: int = 0,
@@ -221,7 +195,12 @@ class PenaltyRewardReducer:
     """Check that a counter moves at every diagnosed round of the window.
 
     ``prepare`` installs a post-update probe on node 1's service before
-    the run is driven; ``reduce`` scores the recorded evolution.
+    the run is driven; ``reduce`` scores the recorded evolution.  The
+    result is ``{"target", "evolution": [[diagnosed round, penalty,
+    reward], ...], "counters_progress", "consistent", "passed"}``: the
+    faulty sender, its counters at node 1 over the fault window,
+    whether one of them changed at every diagnosed round, and
+    ``passed`` = both properties.
     """
 
     name = "validation.penalty-reward"
@@ -241,11 +220,11 @@ class PenaltyRewardReducer:
         observer.post_update_hooks.append(probe)
         return evolution
 
-    def reduce(self, target, spec, state) -> PenaltyRewardResult:
+    def reduce(self, target, spec, state) -> Dict[str, Any]:
         """Score the recorded counter evolution over the fault window."""
         params = spec.scenarios[0].params
         first_round, end_round = _fault_window(params)
-        window = [(d, p, r) for d, p, r in state
+        window = [[d, p, r] for d, p, r in state
                   if first_round <= d < end_round]
         progress = True
         for (d0, p0, r0), (d1, p1, r1) in zip(window, window[1:]):
@@ -256,31 +235,17 @@ class PenaltyRewardReducer:
             progress = False
         consistent = not consistency_violations(target.trace,
                                                 target.obedient_node_ids())
-        return PenaltyRewardResult(target=params["sender"], evolution=window,
-                                   counters_progress=progress,
-                                   consistent=consistent)
+        return {"target": params["sender"], "evolution": window,
+                "counters_progress": progress, "consistent": consistent,
+                "passed": progress and consistent}
 
 
 def run_penalty_reward_experiment(target: int = 2, seed: int = 0,
                                   n_nodes: int = PAPER_N_NODES,
-                                  metrics=None) -> PenaltyRewardResult:
+                                  metrics=None) -> Dict[str, Any]:
     """Fault in ``target``'s slot every second round for 20 rounds."""
     return execute(penalty_reward_spec(target, seed=seed, n_nodes=n_nodes),
                    metrics=metrics)
-
-
-@dataclass
-class MaliciousResult:
-    """Outcome of one malicious-node injection."""
-
-    byzantine: int
-    consistent: bool
-    #: No correct node was ever diagnosed faulty by an obedient node.
-    no_false_accusation: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.consistent and self.no_false_accusation
 
 
 def malicious_spec(byzantine: int, seed: int = 0,
@@ -303,11 +268,16 @@ def malicious_spec(byzantine: int, seed: int = 0,
 
 @register_reducer
 class MaliciousReducer:
-    """Check that the byzantine node never causes a false accusation."""
+    """Check that the byzantine node never causes a false accusation.
+
+    The result is ``{"byzantine", "consistent", "no_false_accusation",
+    "passed"}``: no obedient node ever diagnosed a correct node as
+    faulty, and ``passed`` = both properties.
+    """
 
     name = "validation.malicious"
 
-    def reduce(self, target, spec, state) -> MaliciousResult:
+    def reduce(self, target, spec, state) -> Dict[str, Any]:
         """Score consistency and the no-false-accusation property."""
         byzantine = spec.variant.byzantine_nodes[0]
         n_nodes = spec.protocol.n_nodes
@@ -319,36 +289,18 @@ class MaliciousReducer:
                 for j in range(1, n_nodes + 1):
                     if j != byzantine and hv[j - 1] == 0:
                         no_false = False
-        return MaliciousResult(byzantine=byzantine, consistent=consistent,
-                               no_false_accusation=no_false)
+        return {"byzantine": byzantine, "consistent": consistent,
+                "no_false_accusation": no_false,
+                "passed": consistent and no_false}
 
 
 def run_malicious_experiment(byzantine: int, seed: int = 0,
                              n_nodes: int = PAPER_N_NODES,
                              n_rounds: int = 30,
-                             metrics=None) -> MaliciousResult:
+                             metrics=None) -> Dict[str, Any]:
     """One node broadcasts random local syndromes for the whole run."""
     return execute(malicious_spec(byzantine, seed=seed, n_nodes=n_nodes,
                                   n_rounds=n_rounds), metrics=metrics)
-
-
-@dataclass
-class CliqueResult:
-    """Outcome of one clique-detection injection."""
-
-    minority: int
-    #: Rounds between the asymmetric fault and the view change.
-    view_latency_rounds: Optional[int]
-    #: The final agreed view of the majority clique.
-    final_view: Optional[Tuple[int, ...]]
-    detected: bool
-    consistent_views: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.detected and self.consistent_views
-                and self.final_view is not None
-                and self.minority not in self.final_view)
 
 
 def clique_spec(disturbed_sender: int = 3, seed: int = 0,
@@ -374,18 +326,26 @@ def clique_spec(disturbed_sender: int = 3, seed: int = 0,
 
 @register_reducer
 class CliqueReducer:
-    """Check that the majority clique detects and excludes the minority."""
+    """Check that the majority clique detects and excludes the minority.
+
+    The result is ``{"minority", "view_latency_rounds", "final_view",
+    "detected", "consistent_views", "passed"}``: the rounds from the
+    asymmetric fault to the majority's first view change (or None),
+    the majority's agreed final view as a sorted list (None if its
+    views differ), and ``passed`` when the majority agrees on a view
+    that excludes the minority.
+    """
 
     name = "validation.clique"
 
-    def reduce(self, target, spec, state) -> CliqueResult:
+    def reduce(self, target, spec, state) -> Dict[str, Any]:
         """Score view agreement, exclusion and the view-change latency."""
         fault_round = spec.scenarios[0].params["rounds"][0]
         n_nodes = spec.protocol.n_nodes
         majority = [i for i in range(2, n_nodes + 1)]
         views = [target.services[i].view for i in majority]
         consistent_views = len(set(views)) == 1
-        final_view = tuple(sorted(views[0])) if consistent_views else None
+        final_view = sorted(views[0]) if consistent_views else None
         detected = all(1 not in v for v in views)
         latency = None
         changes = [rec for rec in target.trace.select(category="view")
@@ -393,14 +353,17 @@ class CliqueReducer:
         if changes:
             latency = (min(rec.data["round_index"] for rec in changes)
                        - fault_round)
-        return CliqueResult(minority=1, view_latency_rounds=latency,
-                            final_view=final_view, detected=detected,
-                            consistent_views=consistent_views)
+        return {"minority": 1, "view_latency_rounds": latency,
+                "final_view": final_view, "detected": detected,
+                "consistent_views": consistent_views,
+                "passed": (detected and consistent_views
+                           and final_view is not None
+                           and 1 not in final_view)}
 
 
 def run_clique_experiment(disturbed_sender: int = 3, seed: int = 0,
                           n_nodes: int = PAPER_N_NODES,
-                          metrics=None) -> CliqueResult:
+                          metrics=None) -> Dict[str, Any]:
     """Reproduce the paper's clique injection."""
     return execute(clique_spec(disturbed_sender, seed=seed, n_nodes=n_nodes),
                    metrics=metrics)
@@ -481,10 +444,6 @@ def validation_specs(repetitions: int = 100,
 __all__ = [
     "PAPER_N_NODES",
     "FAULT_ROUND",
-    "BurstResult",
-    "PenaltyRewardResult",
-    "MaliciousResult",
-    "CliqueResult",
     "CampaignSummary",
     "BurstReducer",
     "PenaltyRewardReducer",

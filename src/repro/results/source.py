@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..store.result_store import decode_value, store_key
 from .tables import Table
@@ -60,7 +60,8 @@ class CampaignDocument:
         """Decoded per-task payloads, in task order.
 
         Raises :class:`DocumentError` if any task failed — an
-        aggregate over partial results would silently misreport.
+        aggregate over partial results would silently misreport — and
+        :class:`ValueError` for a payload the store codec cannot read.
         """
         failed = self.failed_labels
         if failed:
@@ -71,8 +72,49 @@ class CampaignDocument:
                 for t in self.tasks]
 
 
+def _fields(data: Any, kind: type, *names: str) -> bool:
+    """Whether ``data`` is an object whose ``names`` are ``kind``s."""
+    return isinstance(data, dict) and all(
+        isinstance(data.get(name), kind) for name in names)
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise DocumentError(message)
+
+
+def _check_task(index: int, task: Any) -> None:
+    _check(isinstance(task, dict), f"task #{index} must be an object")
+    _check(_fields(task, str, "label", "digest"),
+           f"task #{index}: 'label' and 'digest' must be strings")
+    if "error" in task:
+        _check(_fields(task["error"], str, "type", "message"),
+               f"task #{index}: 'error' must be an object with string "
+               f"'type' and 'message'")
+    else:
+        _check(_fields(task.get("result"), str, "enc", "payload"),
+               f"task #{index}: 'result' must be an object with string "
+               f"'enc' and 'payload'")
+
+
+def _parse_table(index: int, data: Any) -> Table:
+    def strings(value: Any) -> bool:
+        return isinstance(value, list) and all(
+            isinstance(item, str) for item in value)
+
+    _check(_fields(data, str, "name") and _fields(data, list, "rows")
+           and all(isinstance(row, list) for row in data["rows"])
+           and strings(data.get("headers"))
+           and strings(data.get("footer", []))
+           and isinstance(data.get("title"), (str, type(None))),
+           f"table #{index} must be an object with a string 'name' and "
+           f"'title', string lists 'headers' and 'footer' and a list of "
+           f"lists 'rows'")
+    return Table.from_dict(data)
+
+
 def parse_document(data: Dict[str, Any]) -> CampaignDocument:
-    """Validate and wrap an already-parsed document dict."""
+    """Validate (every shape readers index into) and wrap a document."""
     from ..campaign.definitions import COMPATIBLE_RESULT_SCHEMAS
 
     if not isinstance(data, dict):
@@ -82,14 +124,23 @@ def parse_document(data: Dict[str, Any]) -> CampaignDocument:
         raise DocumentError(
             f"unsupported document schema {schema!r}; expected one of "
             f"{COMPATIBLE_RESULT_SCHEMAS}")
-    tables = None
-    if data.get("tables") is not None:
-        tables = tuple(Table.from_dict(t) for t in data["tables"])
+    for name in ("params", "metrics"):
+        _check(isinstance(data.get(name, {}), dict),
+               f"document {name!r} must be an object")
+    tasks = data.get("tasks", [])
+    _check(isinstance(tasks, list), "document 'tasks' must be a list")
+    for index, task in enumerate(tasks):
+        _check_task(index, task)
+    tables = data.get("tables")
+    if tables is not None:
+        _check(isinstance(tables, list), "document 'tables' must be a list")
+        tables = tuple(_parse_table(index, table)
+                       for index, table in enumerate(tables))
     return CampaignDocument(
         schema=schema,
         campaign=data.get("campaign", ""),
         params=dict(data.get("params", {})),
-        tasks=tuple(data.get("tasks", ())),
+        tasks=tuple(tasks),
         metrics=dict(data.get("metrics", {})),
         tables=tables,
     )
@@ -158,8 +209,7 @@ def tables_for_document(doc: CampaignDocument,
         return [generic_task_table(doc)]
     if not definition.tables:
         return [generic_task_table(doc)]
-    value = definition.aggregate(doc.results())
-    return definition.build_tables(value)
+    return _reaggregate(doc, definition, definition.build_tables)
 
 
 def series_for_document(doc: CampaignDocument) -> List[Any]:
@@ -170,8 +220,28 @@ def series_for_document(doc: CampaignDocument) -> List[Any]:
         return []
     if not definition.series:
         return []
-    value = definition.aggregate(doc.results())
-    return [spec.build(value) for spec in definition.series]
+    return _reaggregate(doc, definition, lambda value: [
+        spec.build(value) for spec in definition.series])
+
+
+def _reaggregate(doc: CampaignDocument, definition,
+                 build: Callable[[Any], List[Any]]) -> List[Any]:
+    """``build`` over the definition's aggregate of the document's
+    results, which must come from the definition's own tasks; a payload
+    the aggregate cannot read is a :class:`DocumentError`."""
+    results = doc.results()
+    labels = tuple(label for label, _spec in definition.labeled_specs)
+    if doc.labels != labels:
+        raise DocumentError(
+            f"the document's {len(doc.labels)} task(s) are not the "
+            f"{len(labels)} task(s) of campaign {definition.name!r} with "
+            f"params {definition.params}")
+    try:
+        return build(definition.aggregate(results))
+    except (LookupError, TypeError, ArithmeticError) as exc:
+        raise DocumentError(
+            f"campaign {definition.name!r} cannot aggregate the document's "
+            f"results: {type(exc).__name__}: {exc}") from None
 
 
 def generic_task_table(doc: CampaignDocument) -> Table:

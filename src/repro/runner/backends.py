@@ -31,21 +31,21 @@ Two implementations:
   speaking an SSH-shaped command protocol: JSONL requests down stdin,
   JSONL results and heartbeats up stdout
   (:mod:`repro.runner.remote_worker`).  It proves the interface works
-  across process boundaries — payloads cross the wire through the
-  store's own codec (:func:`repro.store.encode_value`), so anything
-  the :class:`~repro.store.ResultStore` rendezvous can hold can be
-  shipped — and it demonstrates the fault model a real multi-host
-  backend needs: worker heartbeats (:mod:`repro.runner.heartbeat`),
-  dead-host detection (process exit *or* heartbeat silence), and
-  re-dispatch of in-flight work to surviving hosts (counter
-  ``dispatch.worker_restarts``).
+  across process boundaries — a work item's ``[result, snapshot]``
+  pairs cross the wire as one JSON payload in the store's codec
+  (:func:`repro.store.encode_value`) — and it demonstrates the fault
+  model a real multi-host backend needs: worker heartbeats
+  (:mod:`repro.runner.heartbeat`), dead-host detection (process exit
+  *or* heartbeat silence), and re-dispatch of in-flight work to
+  surviving hosts (counter ``dispatch.worker_restarts``).
 
 Work executes through one module-level entry point,
 :func:`execute_work_item`, resolved against the :data:`WORK_KINDS`
 registry — picklable for process pools, importable by remote workers,
-and monkeypatchable by fault-injection tests.  A task that raises
-becomes a structured :class:`TaskError`, never an exception that
-escapes the backend.
+and monkeypatchable by fault-injection tests.  It returns JSON values
+only: a reducer whose result is not one fails its task there, on
+every backend alike.  A task that raises becomes a structured
+:class:`TaskError`, never an exception that escapes the backend.
 """
 
 from __future__ import annotations
@@ -60,11 +60,13 @@ import traceback as _traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from queue import Empty, Queue
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from ..obs.registry import NULL_REGISTRY
+from ..store.result_store import decode_value, encode_value
 from .heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_TIMEOUT,
@@ -156,24 +158,25 @@ class Completion:
 
 
 def _spec_handler(spec_dict: dict, seeds: Optional[List[int]],
-                  timeout: Optional[float]) -> Any:
+                  timeout: Optional[float]) -> List[List[Any]]:
     from ..campaign.engine import execute_spec_task
 
-    return execute_spec_task(spec_dict, timeout=timeout)
+    return [execute_spec_task(spec_dict, timeout=timeout)]
 
 
 def _batch_handler(spec_dict: dict, seeds: Optional[List[int]],
-                   timeout: Optional[float]) -> Any:
+                   timeout: Optional[float]) -> List[List[Any]]:
     from ..campaign.engine import execute_batch_task
 
     return execute_batch_task(spec_dict, list(seeds or ()), timeout=timeout)
 
 
-#: Work-kind registry: handler(spec_dict, seeds, timeout) -> value.
-#: A dict (not a match statement) so fault-injection tests can wrap a
-#: handler to poison specific seeds inside the worker.
+#: Work-kind registry: handler(spec_dict, seeds, timeout) -> one
+#: ``[result, snapshot]`` pair per task of the item.  A dict (not a
+#: match statement) so fault-injection tests can wrap a handler to
+#: poison specific seeds inside the worker.
 WORK_KINDS: Dict[str, Callable[[dict, Optional[List[int]],
-                                Optional[float]], Any]] = {
+                                Optional[float]], List[List[Any]]]] = {
     "spec": _spec_handler,
     "batch": _batch_handler,
 }
@@ -181,9 +184,12 @@ WORK_KINDS: Dict[str, Callable[[dict, Optional[List[int]],
 
 def execute_work_item(kind: str, spec_dict: dict,
                       seeds: Optional[List[int]] = None,
-                      timeout: Optional[float] = None) -> Any:
+                      timeout: Optional[float] = None) -> List[List[Any]]:
     """The one worker entry point every backend executes.
 
+    Returns one ``[result, snapshot]`` pair per task of the item; a
+    result the store codec refuses (:func:`repro.store.encode_value`)
+    fails the item with :class:`TypeError`, whichever backend runs it.
     Module-level (picklable for process pools) and registry-resolved
     (importable by remote workers from the ``kind`` string alone).
     """
@@ -193,7 +199,10 @@ def execute_work_item(kind: str, spec_dict: dict,
         raise ValueError(
             f"unknown work kind {kind!r}; expected one of "
             f"{tuple(WORK_KINDS)}") from None
-    return handler(spec_dict, seeds, timeout)
+    pairs = handler(spec_dict, seeds, timeout)
+    for result, _snapshot in pairs:
+        encode_value(result)
+    return pairs
 
 
 def _run_inline(item: WorkItem) -> Completion:
@@ -282,9 +291,11 @@ class LocalPoolBackend(DispatchBackend):
     The executor is created lazily on first submit — a fully-warm
     campaign never forks a worker — and reused across every task and
     retry until :meth:`close`; its workers exit by themselves if the
-    campaign process dies first.  With ``jobs <= 1`` items execute
-    inline in the parent process when :meth:`as_completed` drains the
-    queue: the serial reference semantics.
+    campaign process dies first.  A worker that dies fails every item
+    in flight (the engine retries them) and the next submit starts a
+    fresh pool.  With ``jobs <= 1`` items execute inline in the parent
+    process when :meth:`as_completed` drains the queue: the serial
+    reference semantics.
     """
 
     name = "pool"
@@ -310,9 +321,15 @@ class LocalPoolBackend(DispatchBackend):
         if self._jobs <= 1:
             self._inline.append(item)
             return
-        future = self._ensure_pool().submit(
-            execute_work_item, item.kind, item.spec, item.seeds,
-            item.timeout)
+        call = (execute_work_item, item.kind, item.spec, item.seeds,
+                item.timeout)
+        try:
+            future = self._ensure_pool().submit(*call)
+        except BrokenProcessPool:
+            # A worker died; the executor refuses all further work.
+            self._pool.shutdown(wait=True)
+            self._pool = None
+            future = self._ensure_pool().submit(*call)
         self._futures[future] = item
 
     def as_completed(self) -> Iterator[Completion]:
@@ -377,10 +394,10 @@ class RemoteStubBackend(DispatchBackend):
     structured :class:`TaskError` instead of
     looping forever.
 
-    Results cross the pipe through the store codec
-    (:func:`repro.store.encode_value`), so exactly the payload shapes
-    the :class:`~repro.store.ResultStore` rendezvous accepts survive
-    the host boundary.
+    A result message carries the work item's ``[result, snapshot]``
+    pairs as one JSON payload in the store codec
+    (:func:`repro.store.encode_value`); a message whose payload does
+    not decode fails its item with a :class:`TaskError`.
     """
 
     name = "remote-stub"
@@ -528,8 +545,6 @@ class RemoteStubBackend(DispatchBackend):
         consumes heartbeats, reaps dead hosts (process exit or
         heartbeat silence) and re-dispatches their in-flight work.
         """
-        from ..store import decode_value
-
         if self._pending():
             self._ensure_hosts()
         while self._pending():
@@ -560,9 +575,9 @@ class RemoteStubBackend(DispatchBackend):
                 continue
             if message.get("ok"):
                 try:
-                    value = decode_value(message["enc"],
-                                         message["payload"])
-                except Exception as exc:
+                    value = decode_value(message.get("enc"),
+                                         message.get("payload"))
+                except ValueError as exc:
                     yield Completion(item,
                                      error=task_error_from_exception(exc))
                 else:

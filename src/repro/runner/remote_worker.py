@@ -18,19 +18,20 @@ Worker → parent::
                                                 # daemon thread, so a busy
                                                 # worker still beats
     {"type": "result", "id": 7, "ok": true,
-     "enc": "json"|"pickle"|..., "payload": "..."}
+     "enc": "json"|"json+zlib", "payload": "..."}
     {"type": "result", "id": 7, "ok": false,
      "error": {"error_type": ..., "message": ..., "traceback": ...,
                "timed_out": false}}
 
-Result payloads use the store codec
-(:func:`repro.store.encode_value`), so a value crosses the host
-boundary exactly as the :class:`~repro.store.ResultStore` rendezvous
-would persist it.  Tasks execute in the worker's main thread, so the
-per-task ``SIGALRM`` deadline (:func:`repro.campaign.engine._deadline`)
-holds on remote hosts just as it does in local pools.  A heartbeat
-thread (:class:`repro.runner.heartbeat.HeartbeatEmitter`) shares a
-stdout lock with result writes so lines never interleave.
+A result's payload encodes, in the store codec
+(:func:`repro.store.encode_value`), the ``[result, snapshot]`` pairs
+:func:`~repro.runner.backends.execute_work_item` returns; a result
+that is not a JSON value fails there and comes back ``ok: false``.
+Tasks execute in the worker's main thread, so the per-task
+``SIGALRM`` deadline (:func:`repro.campaign.engine._deadline`) holds
+on remote hosts just as it does in local pools.  A heartbeat thread
+(:class:`repro.runner.heartbeat.HeartbeatEmitter`) shares a stdout
+lock with result writes so lines never interleave.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import sys
 import threading
 import traceback
 
+from ..store.result_store import encode_value
 from .backends import execute_work_item
 from .heartbeat import DEFAULT_HEARTBEAT_INTERVAL, HeartbeatEmitter
 
@@ -78,8 +80,6 @@ def main() -> int:
             value = execute_work_item(
                 request["kind"], request["spec"],
                 request.get("seeds"), request.get("timeout"))
-            from ..store import encode_value
-
             enc, payload = encode_value(value)
             send({"type": "result", "id": task_id, "ok": True,
                   "enc": enc, "payload": payload})

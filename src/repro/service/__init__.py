@@ -29,7 +29,7 @@ Entry point: ``repro-diag serve``.
 
 from .app import create_app
 from .asgi import ServiceUnavailableError, have_uvicorn, require_uvicorn
-from .events import EventHub, JobEventLog, sse_frame
+from .events import JobEventLog, sse_frame
 from .http import ServiceThread, start_server
 from .jobs import (
     DEFAULT_QUEUE_LIMIT,
@@ -45,7 +45,6 @@ __all__ = [
     "BadRequestError",
     "DEFAULT_QUEUE_LIMIT",
     "DEFAULT_WORKERS",
-    "EventHub",
     "Job",
     "JobEventLog",
     "JobManager",

@@ -32,7 +32,7 @@ import json
 import threading
 import zlib
 from array import array
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, List, Tuple
 
 #: Hard cap on retained events per job; a log that overflows drops the
 #: oldest events and marks itself truncated (SSE replay then starts at
@@ -171,31 +171,8 @@ def sse_frame(seq: int, kind: str, data: Dict) -> bytes:
             .encode("utf-8"))
 
 
-class EventHub:
-    """The registry of per-job event logs the service fans out from."""
-
-    def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
-        self._max_events = max_events
-        self._lock = threading.Lock()
-        self._logs: Dict[str, JobEventLog] = {}
-
-    def create(self, job_id: str) -> JobEventLog:
-        """The log for ``job_id`` (created on first request)."""
-        with self._lock:
-            log = self._logs.get(job_id)
-            if log is None:
-                log = self._logs[job_id] = JobEventLog(self._max_events)
-            return log
-
-    def get(self, job_id: str) -> Optional[JobEventLog]:
-        """Return the log for ``job_id``, or None if never created."""
-        with self._lock:
-            return self._logs.get(job_id)
-
-
 __all__ = [
     "DEFAULT_MAX_EVENTS",
-    "EventHub",
     "JobEventLog",
     "sse_frame",
 ]

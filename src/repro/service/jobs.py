@@ -46,7 +46,7 @@ from ..campaign.engine import run_campaign
 from ..obs.export import render_json
 from ..obs.registry import MetricsRegistry, empty_snapshot, merge_snapshots
 from ..store import ResultStore
-from .events import EventHub, JobEventLog
+from .events import JobEventLog
 from .serialization import JobRequest
 
 #: Default bound on queued + running jobs (HTTP 429 past it).
@@ -171,7 +171,6 @@ class JobManager:
         self.task_timeout = task_timeout
         self.queue_limit = queue_limit
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.hub = EventHub()
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
@@ -284,7 +283,7 @@ class JobManager:
                 labels=[label for label, _spec
                         in request.definition.labeled_specs],
                 ordinal=len(self._order),
-                log=self.hub.create(request.job_id),
+                log=JobEventLog(),
             )
             self._jobs[request.job_id] = job
             self._order.append(request.job_id)

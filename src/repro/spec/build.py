@@ -110,7 +110,7 @@ def run_spec_dict(spec_dict: dict, collect_metrics: bool = False):
     This is the only callable the parallel sweeps submit to the process
     pool.  Without ``collect_metrics`` it returns the reduced result;
     with it, the run is metered through a fresh in-process registry and
-    the worker returns ``(result, snapshot)``.
+    the worker returns the JSON pair ``[result, snapshot]``.
     """
     spec = RunSpec.from_dict(spec_dict)
     if not collect_metrics:
@@ -119,7 +119,7 @@ def run_spec_dict(spec_dict: dict, collect_metrics: bool = False):
 
     registry = MetricsRegistry()
     result = execute(spec, metrics=registry)
-    return result, registry.snapshot()
+    return [result, registry.snapshot()]
 
 
 def strip_provenance(snapshot: dict) -> dict:

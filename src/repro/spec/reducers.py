@@ -1,18 +1,20 @@
-"""Reducer registry: named, picklable post-processing for spec runs.
+"""Reducer registry: named post-processing for spec runs.
 
 :func:`repro.spec.execute` turns a :class:`~repro.spec.model.RunSpec`
 into a finished cluster; a *reducer* turns that cluster into the run's
 result value.  Because a :class:`RunSpec` can name its reducer (a plain
-string that survives JSON and pickling), one generic worker can execute
-any campaign's tasks: the worker rebuilds the spec, resolves the name
-here, and returns whatever the reducer computes — the sweep layer never
-needs per-campaign picklable closures again.
+string), one generic worker can execute any campaign's tasks: the
+worker rebuilds the spec, resolves the name here, and returns whatever
+the reducer computes.
 
 A reducer is any object with::
 
     reduce(target, spec, state) -> result
 
-and optionally::
+where ``result`` is a JSON value (dicts with string keys, lists,
+strings, numbers, booleans, None): it is stored and shipped as JSON,
+and a value that does not read back equal, such as a tuple or a
+dataclass, fails its task with :class:`TypeError`.  Optionally::
 
     prepare(target, spec) -> state
 

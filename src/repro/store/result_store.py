@@ -32,10 +32,11 @@ Design rules, in order:
    is dropped from the index and reported as a miss (counter
    ``store.corrupt``), so the campaign simply re-runs that task —
    corruption costs work, never a crash.
-4. **Payloads are typed, not pickled blindly.**  JSON-native values
-   are stored as JSON (inspectable with ``jq``); anything else falls
-   back to pickle, base64-wrapped; large payloads are zlib-compressed.
-   :func:`encode_value`/:func:`decode_value` round-trip equal values.
+4. **Payloads are JSON values.**  Stored as canonical JSON
+   (inspectable with ``jq``), zlib-compressed past 4 KiB;
+   :func:`encode_value` refuses with :class:`TypeError` any value that
+   would not read back equal, so a read never executes code.  A
+   record in any other encoding is undecodable (rule 3).
 5. **The store is the checkpoint.**  A campaign's record (its id,
    name, status and ordered keys) is written to the index twice: at
    start and at its terminal status.  Progress is never written; it is
@@ -60,7 +61,6 @@ import base64
 import hashlib
 import json
 import os
-import pickle
 import shutil
 import sqlite3
 import threading
@@ -78,7 +78,7 @@ STORE_SCHEMA = "repro-store/1"
 #: Payloads whose serialized form exceeds this are zlib-compressed.
 COMPRESS_THRESHOLD = 4096
 
-_ENCODINGS = ("json", "json+zlib", "pickle", "pickle+zlib")
+_ENCODINGS = ("json", "json+zlib")
 
 #: Seconds SQLite waits for a competing connection's lock before
 #: surfacing ``SQLITE_BUSY`` (per connection; see ``busy_timeout``).
@@ -151,43 +151,41 @@ def store_key(spec, reducer: Optional[str] = None,
 # ----------------------------------------------------------------------
 # Payload codec
 # ----------------------------------------------------------------------
-def encode_value(value: Any,
-                 compress_threshold: int = COMPRESS_THRESHOLD
-                 ) -> Tuple[str, str]:
-    """Encode ``value`` as ``(enc, payload_text)``.
+def encode_value(value: Any) -> Tuple[str, str]:
+    """Encode a JSON value as ``(enc, payload_text)``.
 
-    JSON is preferred whenever it round-trips the value *exactly*
-    (``json.loads(json.dumps(v)) == v``); otherwise the payload is
-    pickled and base64-wrapped.  Either form is zlib-compressed past
-    ``compress_threshold`` bytes.
+    The payload is sorted-key JSON (``json``), zlib-compressed and
+    base64-wrapped past :data:`COMPRESS_THRESHOLD` bytes (``json+zlib``).
+    Raises :class:`TypeError` unless it reads back equal to ``value``:
+    JSON would turn a tuple into a list and an int key into a string,
+    so such a value is refused, not stored in another shape.
     """
-    enc = None
     try:
         text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        if json.loads(text) == value:
-            enc = "json"
-    except (TypeError, ValueError):
-        pass
-    if enc is None:
-        raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        enc = "pickle"
-        text = base64.b64encode(raw).decode("ascii")
-    if len(text) > compress_threshold:
-        packed = zlib.compress(text.encode("utf-8"), level=6)
-        return enc + "+zlib", base64.b64encode(packed).decode("ascii")
-    return enc, text
+    except (TypeError, ValueError) as exc:
+        raise TypeError(f"not a JSON value: {exc}") from None
+    if json.loads(text) != value:
+        raise TypeError(f"{type(value).__name__} value does not "
+                        f"round-trip through JSON")
+    if len(text) <= COMPRESS_THRESHOLD:
+        return "json", text
+    packed = zlib.compress(text.encode("utf-8"), level=6)
+    return "json+zlib", base64.b64encode(packed).decode("ascii")
 
 
 def decode_value(enc: str, payload: str) -> Any:
-    """Invert :func:`encode_value`."""
+    """Invert :func:`encode_value`; :class:`ValueError` for any other
+    encoding or a payload that does not decode."""
     if enc not in _ENCODINGS:
         raise ValueError(f"unknown payload encoding {enc!r}")
-    if enc.endswith("+zlib"):
-        payload = zlib.decompress(base64.b64decode(payload)).decode("utf-8")
-        enc = enc[:-len("+zlib")]
-    if enc == "json":
-        return json.loads(payload)
-    return pickle.loads(base64.b64decode(payload))
+    if not isinstance(payload, str):
+        raise ValueError("payload must be a string")
+    if enc == "json+zlib":
+        try:
+            payload = zlib.decompress(base64.b64decode(payload))
+        except zlib.error as exc:
+            raise ValueError(f"corrupt json+zlib payload: {exc}") from None
+    return json.loads(payload)
 
 
 # ----------------------------------------------------------------------
@@ -216,11 +214,9 @@ class ResultStore:
     """
 
     def __init__(self, root: Optional[str] = None, metrics=NULL_REGISTRY,
-                 compress_threshold: int = COMPRESS_THRESHOLD,
                  busy_timeout: float = DEFAULT_BUSY_TIMEOUT) -> None:
         self.root = root if root is not None else default_cache_dir()
         self.metrics = metrics
-        self.compress_threshold = compress_threshold
         self.shard_dir = os.path.join(self.root, "shards")
         os.makedirs(self.shard_dir, exist_ok=True)
         self._db = sqlite3.connect(os.path.join(self.root, "index.sqlite"),
@@ -384,7 +380,7 @@ class ResultStore:
                     try:
                         found[key] = decode_value(record["enc"],
                                                   record["payload"])
-                    except Exception:
+                    except ValueError:
                         corrupt.append(key)
 
         for key in corrupt:
@@ -413,7 +409,7 @@ class ResultStore:
         by_shard: Dict[str, list] = {}
         count = 0
         for key, value in items:
-            enc, payload = encode_value(value, self.compress_threshold)
+            enc, payload = encode_value(value)
             line = json.dumps({"schema": STORE_SCHEMA, "key": key,
                                "enc": enc, "payload": payload},
                               sort_keys=True, separators=(",", ":"))

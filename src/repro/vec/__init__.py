@@ -58,15 +58,11 @@ def execute_vectorized(spec: Any, reducer: Any = None,
     return impl(spec, reducer=reducer, metrics=metrics)
 
 
-def execute_batch(spec: Any, replicates: Optional[int] = None,
-                  seeds: Optional[Sequence[int]] = None,
-                  reducer: Any = None,
-                  collect_metrics: bool = False) -> List[Any]:
+def execute_batch(spec: Any, seeds: Sequence[int]) -> List[List[Any]]:
     """Run + reduce a whole replicate batch in one kernel execution."""
     require_numpy()
     from .kernel import execute_batch as impl
-    return impl(spec, replicates=replicates, seeds=seeds, reducer=reducer,
-                collect_metrics=collect_metrics)
+    return impl(spec, seeds)
 
 
 __all__ = [

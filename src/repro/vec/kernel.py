@@ -848,41 +848,33 @@ def execute_vectorized(spec: RunSpec, reducer: Any = None,
     return resolved.reduce(view, spec, None)
 
 
-def execute_batch(spec: RunSpec, replicates: Optional[int] = None,
-                  seeds: Optional[Sequence[int]] = None,
-                  reducer: Any = None,
-                  collect_metrics: bool = False) -> List[Any]:
+def execute_batch(spec: RunSpec, seeds: Sequence[int]) -> List[List[Any]]:
     """Run + reduce a whole replicate batch in one kernel execution.
 
-    Returns one result per replicate, each exactly what
-    ``run_spec_dict(replicate_spec.to_dict())`` would have produced for
-    the seed-shifted spec — including, with ``collect_metrics``, the
-    ``(result, snapshot)`` pair with the replicate's provenance counter.
+    Returns one ``[result, snapshot]`` pair per seed, each exactly what
+    ``run_spec_dict(replicate_spec.to_dict(), collect_metrics=True)``
+    produces for the seed-shifted spec, provenance counter included.
     This is the batched dispatch path of the campaign engine: one cache
     miss per replicate, one kernel execution for all of them.
     """
     from ..spec.reducers import resolve_reducer
 
-    resolved = resolve_reducer(reducer if reducer is not None
-                               else spec.reducer)
+    resolved = resolve_reducer(spec.reducer)
     _check_reducer(resolved)
-    batch = run_batch(spec, seeds=seeds, replicates=replicates)
-    results: List[Any] = []
+    batch = run_batch(spec, seeds=seeds)
+    results: List[List[Any]] = []
     for i, seed in enumerate(batch.seeds):
         spec_r = _replicate_spec(spec, seed)
         view = batch.view(i)
         result = resolved.reduce(view, spec_r, None)
-        if collect_metrics:
-            snap = view.metrics_snapshot()
-            counters = dict(snap["counters"])
-            counters[_PROVENANCE_PREFIX + spec_r.digest()] = 1
-            results.append((result, {
-                "counters": dict(sorted(counters.items())),
-                "gauges": snap["gauges"],
-                "histograms": snap["histograms"],
-            }))
-        else:
-            results.append(result)
+        snap = view.metrics_snapshot()
+        counters = dict(snap["counters"])
+        counters[_PROVENANCE_PREFIX + spec_r.digest()] = 1
+        results.append([result, {
+            "counters": dict(sorted(counters.items())),
+            "gauges": snap["gauges"],
+            "histograms": snap["histograms"],
+        }])
     return results
 
 

@@ -8,8 +8,10 @@ the byte.  The results verb family is exercised over the checked-in
 fixture document with the same golden discipline.
 """
 
+import base64
 import json
 import os
+import pickle
 
 import pytest
 
@@ -19,6 +21,33 @@ from repro.results.plots import MATPLOTLIB_AVAILABLE
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_cli")
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "data", "results")
 FIXTURE = os.path.join(RESULTS_DIR, "rare_events_reps2.doc.json")
+
+
+def _pickled_document():
+    """A ``/2`` document whose one payload is in the retired pickle
+    encoding (no embedded tables, so rendering must decode it)."""
+    payload = base64.b64encode(pickle.dumps({"passed": True}))
+    return json.dumps({
+        "schema": "repro-campaign-result/2", "campaign": "spec-file",
+        "params": {"specs": 1}, "metrics": {},
+        "tasks": [{"label": "x", "digest": "0" * 12, "key": "k",
+                   "result": {"enc": "pickle",
+                              "payload": payload.decode("ascii")}}]})
+
+
+#: Malformed result documents and the message each one exits 2 with.
+BAD_DOCUMENTS = [
+    ("not json", "not valid JSON"),
+    ('{"schema":"repro-campaign-result/2","tasks":5}',
+     "'tasks' must be a list"),
+    ('{"schema":"repro-campaign-result/2","tables":5}',
+     "'tables' must be a list"),
+    ('{"schema":"repro-campaign-result/2","params":5}',
+     "'params' must be an object"),
+    ('{"schema":"repro-campaign-result/2","tasks":[5]}',
+     "task #0 must be an object"),
+    (_pickled_document(), "unknown payload encoding 'pickle'"),
+]
 
 
 def golden(name):
@@ -100,9 +129,14 @@ class TestResultsRenderCli:
 
     def test_unreadable_document(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        assert main(["results", "render", str(bad)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        for body, needle in BAD_DOCUMENTS:
+            bad.write_text(body)
+            for argv in (["results", "render", str(bad)],
+                         ["results", "diff", str(bad), FIXTURE]):
+                assert main(argv) == 2, (body, argv)
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and needle in err, \
+                    (body, argv, err)
 
 
 def golden_results(name):

@@ -15,8 +15,11 @@ item that keeps killing hosts dead-letters instead of looping.  The
 local pool's workers, in turn, must not outlive a SIGKILLed campaign.
 """
 
+import base64
 import json
+import multiprocessing
 import os
+import pickle
 import select
 import signal
 import subprocess
@@ -26,8 +29,8 @@ import time
 
 import pytest
 
-from repro.campaign import run_campaign
-from repro.obs import MetricsRegistry
+from repro.campaign import result_document, run_campaign, validation_campaign
+from repro.obs import MetricsRegistry, render_json
 from repro.runner.backends import (
     DISPATCH_BACKENDS,
     WORK_KINDS,
@@ -203,6 +206,34 @@ def test_pool_workers_exit_when_campaign_is_killed():
                 pass
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched handler through fork")
+def test_dead_pool_worker_is_replaced(monkeypatch, tmp_path):
+    """A worker that dies breaks its executor; the backend starts a
+    fresh pool for the retries and the campaign still completes with
+    the fault-free document."""
+    definition = validation_campaign(repetitions=2)
+    reference = render_json(result_document(
+        definition, run_campaign(definition.labeled_specs, jobs=2)))
+    marker = str(tmp_path / "died")
+    original = WORK_KINDS["spec"]
+
+    def die_once(spec_dict, seeds, timeout):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return original(spec_dict, seeds, timeout)
+        os._exit(1)
+
+    monkeypatch.setitem(WORK_KINDS, "spec", die_once)
+    metrics = MetricsRegistry()
+    result = run_campaign(definition.labeled_specs, jobs=2, metrics=metrics,
+                          sleep=lambda _t: None)
+    assert os.path.exists(marker)
+    assert render_json(result_document(definition, result)) == reference
+    assert metrics.snapshot()["counters"]["campaign.retries"] >= 1
+
+
 # ----------------------------------------------------------------------
 # Remote stub fault model
 # ----------------------------------------------------------------------
@@ -289,6 +320,34 @@ class TestRemoteStubFaults:
         assert all(c.error is None for c in completions)
         counters = metrics.snapshot()["counters"]
         assert counters["dispatch.worker_restarts"] >= 1
+
+    def test_pickle_result_message_becomes_task_error(self, monkeypatch):
+        # The parent decodes result messages with the JSON-only store
+        # codec: an `enc: pickle` payload fails its item unread.
+        def no_unpickling(*_args, **_kwargs):
+            raise AssertionError("the parent unpickled a payload")
+
+        payload = base64.b64encode(pickle.dumps([[1, {}]])).decode("ascii")
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        backend = RemoteStubBackend(hosts=1)
+        try:
+            backend.submit(WorkItem(
+                item_id=0, kind="spec",
+                spec=_spec(seed=0, n_rounds=10_000_000).to_dict()))
+            thread, completions = _consume_in_thread(backend)
+            assert _wait_until(lambda: _busy_host(backend) is not None)
+            backend._events.put((_busy_host(backend).serial, {
+                "type": "result", "id": 0, "ok": True, "enc": "pickle",
+                "payload": payload}))
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        finally:
+            backend.close()
+        assert len(completions) == 1
+        error = completions[0].error
+        assert error is not None
+        assert error.error_type == "ValueError"
+        assert "unknown payload encoding 'pickle'" in error.message
 
     def test_host_killer_item_dead_letters(self):
         metrics = MetricsRegistry()

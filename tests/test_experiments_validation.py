@@ -34,32 +34,32 @@ class TestBurstClasses:
     @pytest.mark.parametrize("n_slots", [1, 2])
     def test_lemma2_regime(self, n_slots, start_slot):
         result = run_burst_experiment(n_slots, start_slot, seed=0)
-        assert result.passed, result
+        assert result["passed"], result
 
     @pytest.mark.parametrize("start_slot", [1, 2, 3, 4])
     def test_blackout_regime(self, start_slot):
         result = run_burst_experiment(8, start_slot, seed=0)
-        assert result.passed, result
+        assert result["passed"], result
 
     def test_repetitions_with_distinct_seeds(self):
         for seed in range(5):
-            assert run_burst_experiment(2, 3, seed=seed).passed
+            assert run_burst_experiment(2, 3, seed=seed)["passed"]
 
 
 class TestPenaltyRewardClass:
     def test_counters_progress_every_round(self):
         result = run_penalty_reward_experiment(seed=0)
-        assert result.passed
+        assert result["passed"]
         # Faults every second round: penalties 1..10 interleaved with
         # reward pulses.
-        penalties = [p for _d, p, _r in result.evolution]
+        penalties = [p for _d, p, _r in result["evolution"]]
         assert penalties[0] == 1
         assert max(penalties) == 10
 
     def test_alternating_pattern(self):
         result = run_penalty_reward_experiment(seed=1)
-        for (d0, p0, r0), (d1, p1, r1) in zip(result.evolution,
-                                              result.evolution[1:]):
+        evolution = result["evolution"]
+        for (d0, p0, r0), (d1, p1, r1) in zip(evolution, evolution[1:]):
             assert d1 == d0 + 1
             # Either penalty grew (fault) or reward grew (clean round).
             assert (p1 == p0 + 1 and r1 == 0) or (p1 == p0 and r1 == r0 + 1)
@@ -68,20 +68,20 @@ class TestPenaltyRewardClass:
 class TestMaliciousClass:
     @pytest.mark.parametrize("byzantine", [1, 2, 3, 4])
     def test_all_positions(self, byzantine):
-        assert run_malicious_experiment(byzantine, seed=0).passed
+        assert run_malicious_experiment(byzantine, seed=0)["passed"]
 
 
 class TestCliqueClass:
     def test_detects_minority_node1(self):
         result = run_clique_experiment(seed=0)
-        assert result.passed
-        assert result.final_view == (2, 3, 4)
-        assert result.view_latency_rounds is not None
+        assert result["passed"]
+        assert result["final_view"] == [2, 3, 4]
+        assert result["view_latency_rounds"] is not None
 
     def test_different_disturbed_senders(self):
         for sender in (2, 3, 4):
             assert run_clique_experiment(disturbed_sender=sender,
-                                         seed=1).passed
+                                         seed=1)["passed"]
 
 
 class TestCampaign:

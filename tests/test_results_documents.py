@@ -11,9 +11,12 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import build_campaign, result_document, run_campaign
 from repro.results import render_tables
+from repro.results.render import FORMATS
 from repro.results.diff import diff_documents, diff_flat, flatten, render_diff
 from repro.results.source import (
     DocumentError,
@@ -24,7 +27,7 @@ from repro.results.source import (
     tables_for_document,
     tables_from_store,
 )
-from repro.store import ResultStore
+from repro.store import ResultStore, encode_value
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "results")
 FIXTURE = os.path.join(DATA, "rare_events_reps2.doc.json")
@@ -89,6 +92,16 @@ class TestDocumentLoading:
         doc = parse_document(data)
         with pytest.raises(DocumentError, match="1 failed task"):
             doc.results()
+
+    def test_reaggregation_needs_the_campaigns_own_tasks(self):
+        # A task short of the campaign's list must not aggregate into a
+        # silently partial table.
+        data = fixture_dict()
+        data["schema"] = "repro-campaign-result/1"
+        del data["tables"]
+        del data["tasks"][-1]
+        with pytest.raises(DocumentError, match="5 task.*not the 6 task"):
+            tables_for_document(parse_document(data))
 
     def test_unknown_campaign_falls_back_to_generic_table(self):
         data = fixture_dict()
@@ -214,3 +227,140 @@ def test_fixture_docs_deep_equal_ignores_key_field_only():
     for task in data["tasks"]:
         assert task["key"].endswith(f":{__version__}")
         assert task["key"].split(":")[0].startswith(task["digest"])
+
+
+# ----------------------------------------------------------------------
+# Loader fuzz: a malformed document is a ValueError, never a traceback
+# ----------------------------------------------------------------------
+def _json(floats):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | floats
+        | st.text(max_size=6),
+        lambda children: (st.lists(children, max_size=3)
+                          | st.dictionaries(st.text(max_size=6), children,
+                                            max_size=3)),
+        max_leaves=8)
+
+
+_JSON = _json(st.floats())
+#: What the store codec accepts: a NaN does not read back equal.
+_STORABLE = _json(st.floats(allow_nan=False))
+
+
+def _encoded(value):
+    enc, payload = encode_value(value)
+    return {"enc": enc, "payload": payload}
+
+
+#: A result payload: an encoded JSON value (shaped like the reducers'
+#: results or not), a retired or unknown encoding, or junk.
+_RESULT = st.one_of(
+    st.builds(_encoded, _STORABLE | st.fixed_dictionaries({
+        "passed": _STORABLE, "isolated": _STORABLE})),
+    st.fixed_dictionaries({
+        "enc": st.sampled_from(["json", "json+zlib", "pickle", "msgpack"]),
+        "payload": st.text(max_size=12)}),
+    _JSON)
+
+_ERROR = st.fixed_dictionaries({"type": st.text(max_size=6),
+                                "message": st.text(max_size=6)}) | _JSON
+
+
+def _task(labels):
+    return st.one_of(
+        st.fixed_dictionaries({"label": labels, "digest": st.text(max_size=6),
+                               "key": st.text(max_size=6),
+                               "result": _RESULT}),
+        st.fixed_dictionaries({"label": labels, "digest": st.text(max_size=6),
+                               "error": _ERROR}),
+        _JSON)
+
+
+#: An embedded table: each field well-formed or arbitrary.
+_TABLE = st.fixed_dictionaries(
+    {"name": st.text(max_size=6) | _JSON,
+     "headers": st.lists(st.text(max_size=4), max_size=3) | _JSON,
+     "rows": st.lists(st.lists(_JSON, max_size=3) | _JSON,
+                      max_size=3) | _JSON},
+    optional={"title": st.none() | st.text(max_size=6) | _JSON,
+              "footer": st.lists(st.text(max_size=6), max_size=2) | _JSON})
+
+_PARAMS = st.fixed_dictionaries({}, optional={
+    "reps": st.integers(-1, 2) | _JSON, "nodes": st.integers(1, 5) | _JSON,
+    "seed": st.integers(0, 2) | _JSON, "round_length": _JSON,
+    "specs": _JSON}) | _JSON
+
+#: Documents of an arbitrary shape.
+_ANY_DOCUMENT = st.fixed_dictionaries(
+    {"schema": st.sampled_from(["repro-campaign-result/1",
+                                "repro-campaign-result/2"])},
+    optional={
+        "campaign": st.sampled_from(["validate", "table2", "rare-events",
+                                     "spec-file"]) | _JSON,
+        "params": _PARAMS,
+        "tasks": st.lists(_task(st.text(max_size=6)), max_size=3) | _JSON,
+        "tables": st.lists(_TABLE | _JSON, max_size=2) | _JSON,
+        "metrics": _JSON,
+    })
+
+
+def _campaign_labels(name, **params):
+    return [label for label, _spec
+            in build_campaign(name, **params).labeled_specs]
+
+
+#: Documents whose tasks are a named campaign's own tasks, so their
+#: payloads reach the campaign's aggregate and tables.
+_CAMPAIGN_DOCUMENT = st.sampled_from([
+    ("table2", {"seed": 0, "round_length": 0.0025},
+     _campaign_labels("table2")),
+    ("rare-events", {"reps": 1, "nodes": 4, "seed": 0},
+     _campaign_labels("rare-events", reps=1)),
+]).flatmap(lambda named: st.fixed_dictionaries({
+    "schema": st.just("repro-campaign-result/1"),
+    "campaign": st.just(named[0]),
+    "params": st.just(named[1]),
+    "tasks": st.tuples(*(_task(st.just(label)) for label in named[2]))
+    .map(list),
+}))
+
+
+#: Documents whose embedded tables are what readers render.
+_TABLES_DOCUMENT = st.fixed_dictionaries({
+    "schema": st.just("repro-campaign-result/2"),
+    "tables": st.lists(_TABLE, min_size=1, max_size=2),
+})
+
+#: Named-campaign documents with arbitrary params, which the re-
+#: aggregation path rebuilds the campaign from.
+_PARAMS_DOCUMENT = st.fixed_dictionaries({
+    "schema": st.just("repro-campaign-result/1"),
+    "campaign": st.sampled_from(["validate", "table2", "rare-events"]),
+    "params": st.fixed_dictionaries({
+        "reps": st.integers(-1, 2), "nodes": st.integers(1, 5),
+        "seed": st.integers(0, 2), "round_length": _JSON}),
+})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_ANY_DOCUMENT | _CAMPAIGN_DOCUMENT | _PARAMS_DOCUMENT
+       | _TABLES_DOCUMENT)
+def test_document_loader_fuzz_raises_only_value_errors(data):
+    # DocumentError is a ValueError: the CLI reports either as exit 2.
+    try:
+        doc = parse_document(data)
+    except DocumentError:
+        return
+    document_fingerprint(doc)
+
+    def render():
+        tables = tables_for_document(doc)
+        for fmt in FORMATS:
+            render_tables(tables, fmt)
+
+    for read in (render, doc.results, lambda: diff_documents(doc, doc)):
+        try:
+            read()
+        except ValueError:
+            pass

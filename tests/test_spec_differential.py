@@ -9,7 +9,7 @@ identical results, identical metrics snapshots (modulo the new
 ``jobs=4`` is byte-identical to ``jobs=1`` and to serial assembly.
 """
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -24,10 +24,6 @@ from repro.core.config import uniform_config
 from repro.core.service import DiagnosedCluster, MembershipCluster
 from repro.experiments.validation import (
     FAULT_ROUND,
-    BurstResult,
-    CliqueResult,
-    MaliciousResult,
-    PenaltyRewardResult,
     expected_faulty_slots,
     run_burst_experiment,
     run_clique_experiment,
@@ -53,7 +49,7 @@ def _config():
 # ---------------------------------------------------------------------------
 
 def _direct_burst(n_slots: int, start_slot: int, seed: int,
-                  metrics=None) -> BurstResult:
+                  metrics=None) -> Dict[str, Any]:
     dc = DiagnosedCluster(_config(), seed=seed,
                           round_length=PAPER_ROUND_LENGTH, metrics=metrics)
     dc.cluster.add_scenario(SlotBurst(dc.cluster.timebase, FAULT_ROUND,
@@ -62,11 +58,13 @@ def _direct_burst(n_slots: int, start_slot: int, seed: int,
     dc.run_rounds(max(expected) + 6)
 
     obedient = dc.obedient_node_ids()
-    diagnosed: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+    diagnosed: Dict[str, Dict[str, List[int]]] = {}
     complete = True
     correct = True
     for d_round, faulty in expected.items():
-        diagnosed[d_round] = diagnoses_for_round(dc.trace, d_round, obedient)
+        diagnosed[str(d_round)] = {
+            str(node): list(hv) for node, hv in
+            diagnoses_for_round(dc.trace, d_round, obedient).items()}
         for f in faulty:
             if not completeness_holds(dc.trace, d_round, f, obedient):
                 complete = False
@@ -74,13 +72,14 @@ def _direct_burst(n_slots: int, start_slot: int, seed: int,
         if not correctness_holds(dc.trace, d_round, correct_nodes, obedient):
             correct = False
     consistent = not consistency_violations(dc.trace, obedient)
-    return BurstResult(n_slots=n_slots, start_slot=start_slot,
-                       expected=expected, diagnosed=diagnosed,
-                       consistent=consistent, complete=complete,
-                       correct=correct)
+    return {"n_slots": n_slots, "start_slot": start_slot,
+            "expected": {str(r): list(f) for r, f in expected.items()},
+            "diagnosed": diagnosed, "consistent": consistent,
+            "complete": complete, "correct": correct,
+            "passed": consistent and complete and correct}
 
 
-def _direct_penalty_reward(target: int, seed: int) -> PenaltyRewardResult:
+def _direct_penalty_reward(target: int, seed: int) -> Dict[str, Any]:
     config = _config()
     dc = DiagnosedCluster(config, seed=seed)
     dc.cluster.add_scenario(every_nth_round(target, period=2,
@@ -97,7 +96,7 @@ def _direct_penalty_reward(target: int, seed: int) -> PenaltyRewardResult:
     observer.post_update_hooks.append(probe)
     dc.run_rounds(FAULT_ROUND + 20 + 6)
 
-    window = [(d, p, r) for d, p, r in evolution
+    window = [[d, p, r] for d, p, r in evolution
               if FAULT_ROUND <= d < FAULT_ROUND + 20]
     progress = True
     for (_d0, p0, r0), (_d1, p1, r1) in zip(window, window[1:]):
@@ -106,13 +105,13 @@ def _direct_penalty_reward(target: int, seed: int) -> PenaltyRewardResult:
     if not window or window[0][1] == 0:
         progress = False
     consistent = not consistency_violations(dc.trace, dc.obedient_node_ids())
-    return PenaltyRewardResult(target=target, evolution=window,
-                               counters_progress=progress,
-                               consistent=consistent)
+    return {"target": target, "evolution": window,
+            "counters_progress": progress, "consistent": consistent,
+            "passed": progress and consistent}
 
 
 def _direct_malicious(byzantine: int, seed: int,
-                      n_rounds: int = 30) -> MaliciousResult:
+                      n_rounds: int = 30) -> Dict[str, Any]:
     dc = DiagnosedCluster(_config(), seed=seed, byzantine_nodes=[byzantine])
     dc.run_rounds(n_rounds)
     obedient = dc.obedient_node_ids()
@@ -123,11 +122,12 @@ def _direct_malicious(byzantine: int, seed: int,
             for j in range(1, N + 1):
                 if j != byzantine and hv[j - 1] == 0:
                     no_false = False
-    return MaliciousResult(byzantine=byzantine, consistent=consistent,
-                           no_false_accusation=no_false)
+    return {"byzantine": byzantine, "consistent": consistent,
+            "no_false_accusation": no_false,
+            "passed": consistent and no_false}
 
 
-def _direct_clique(disturbed_sender: int, seed: int) -> CliqueResult:
+def _direct_clique(disturbed_sender: int, seed: int) -> Dict[str, Any]:
     mc = MembershipCluster(_config(), seed=seed)
     mc.cluster.add_scenario(SenderFault(
         disturbed_sender, kind="asymmetric", rounds=[FAULT_ROUND],
@@ -137,16 +137,18 @@ def _direct_clique(disturbed_sender: int, seed: int) -> CliqueResult:
     majority = [i for i in range(2, N + 1)]
     views = [mc.services[i].view for i in majority]
     consistent_views = len(set(views)) == 1
-    final_view = tuple(sorted(views[0])) if consistent_views else None
+    final_view = sorted(views[0]) if consistent_views else None
     detected = all(1 not in v for v in views)
     latency = None
     changes = [rec for rec in mc.trace.select(category="view")
                if rec.node in majority]
     if changes:
         latency = min(rec.data["round_index"] for rec in changes) - FAULT_ROUND
-    return CliqueResult(minority=1, view_latency_rounds=latency,
-                        final_view=final_view, detected=detected,
-                        consistent_views=consistent_views)
+    return {"minority": 1, "view_latency_rounds": latency,
+            "final_view": final_view, "detected": detected,
+            "consistent_views": consistent_views,
+            "passed": (detected and consistent_views
+                       and final_view is not None and 1 not in final_view)}
 
 
 def _direct_budget(tolerated_outage: float, seed: int = 0) -> int:
@@ -223,16 +225,17 @@ def _direct_campaign_passes(repetitions: int) -> List[Tuple[str, bool]]:
             cls = f"burst-{n_slots}-slot{start_slot}"
             for rep in range(repetitions):
                 passes.append(
-                    (cls, _direct_burst(n_slots, start_slot, rep).passed))
+                    (cls, _direct_burst(n_slots, start_slot, rep)["passed"]))
     for rep in range(repetitions):
         passes.append(("penalty-reward",
-                       _direct_penalty_reward(2, rep).passed))
+                       _direct_penalty_reward(2, rep)["passed"]))
     for byzantine in range(1, N + 1):
         for rep in range(repetitions):
             passes.append((f"malicious-node{byzantine}",
-                           _direct_malicious(byzantine, rep).passed))
+                           _direct_malicious(byzantine, rep)["passed"]))
     for rep in range(repetitions):
-        passes.append(("clique-detection", _direct_clique(3, rep).passed))
+        passes.append(("clique-detection",
+                       _direct_clique(3, rep)["passed"]))
     return passes
 
 

@@ -2,15 +2,16 @@
 
 The store's contract is boring on the happy path (a persistent dict)
 and interesting at the edges: keys must be collision-resistant content
-addresses, payloads must round-trip arbitrary reducer results exactly,
-and any damaged record must read as a *miss* — never a crash — so a
-campaign simply re-runs the task.
+addresses, payloads must be JSON values that round-trip exactly, and
+any damaged or non-JSON record must read as a *miss* — never a crash,
+never an unpickling — so a campaign simply re-runs the task.
 """
 
 import base64
 import json
 import os
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
@@ -58,6 +59,12 @@ class TestStoreKey:
         assert store_key(_spec(seed=0)) != store_key(_spec(seed=1))
 
 
+@dataclass
+class _Point:
+    x: int
+    y: int
+
+
 class TestCodec:
     @pytest.mark.parametrize("value", [
         {"a": 1, "b": [1, 2, 3], "c": None},
@@ -69,11 +76,16 @@ class TestCodec:
         assert enc == "json"
         assert decode_value(enc, payload) == value
 
-    def test_non_json_values_fall_back_to_pickle(self):
-        value = {1: (2, 3), 4: (5,)}  # int keys don't survive JSON
-        enc, payload = encode_value(value)
-        assert enc == "pickle"
-        assert decode_value(enc, payload) == value
+    @pytest.mark.parametrize("value", [
+        (1, 2),
+        {"votes": (1, 0, 1)},
+        {1, 2},
+        {1: (2, 3), 4: (5,)},
+        _Point(1, 2),
+    ], ids=["tuple", "nested-tuple", "set", "int-key", "dataclass"])
+    def test_non_json_values_are_refused(self, value):
+        with pytest.raises(TypeError):
+            encode_value(value)
 
     def test_large_payloads_compressed(self):
         value = {"rows": list(range(5000))}
@@ -83,8 +95,13 @@ class TestCodec:
         assert len(payload) < len(json.dumps(value))
 
     def test_unknown_encoding_rejected(self):
-        with pytest.raises(ValueError, match="unknown payload encoding"):
-            decode_value("msgpack", "x")
+        for enc in ("msgpack", "pickle", "pickle+zlib"):
+            with pytest.raises(ValueError, match="unknown payload encoding"):
+                decode_value(enc, "x")
+
+    def test_corrupt_compressed_payload_is_a_value_error(self):
+        with pytest.raises(ValueError, match="corrupt json\\+zlib"):
+            decode_value("json+zlib", base64.b64encode(b"junk").decode())
 
 
 class TestDefaultCacheDir:
@@ -153,19 +170,24 @@ class TestResultStore:
 
     def test_undecodable_payload_reads_as_miss_through_get(
             self, tmp_path, monkeypatch):
-        # A checksum-valid record whose pickle is truncated: `get` is a
-        # one-key `get_many`, so it evicts the record and misses.
-        def truncated_pickle(value, _threshold):
-            raw = pickle.dumps(value)[:-3]
+        # An intact, checksum-valid record in the retired `pickle`
+        # encoding (as stores written before the JSON-only codec hold):
+        # `get` is a one-key `get_many`, so it evicts the record and
+        # misses, and the payload is never unpickled.
+        def pickled(value):
+            raw = pickle.dumps(value)
             return "pickle", base64.b64encode(raw).decode("ascii")
+
+        def no_unpickling(*_args, **_kwargs):
+            raise AssertionError("the store unpickled a payload")
 
         metrics = MetricsRegistry()
         with ResultStore(str(tmp_path), metrics=metrics) as store:
             key = "5e" + "p" * 62
-            monkeypatch.setattr(result_store, "encode_value",
-                                truncated_pickle)
-            store.put(key, {1, 2, 3})
+            monkeypatch.setattr(result_store, "encode_value", pickled)
+            store.put(key, {"result": {"passed": True}, "snapshot": {}})
             monkeypatch.undo()
+            monkeypatch.setattr(pickle, "loads", no_unpickling)
             assert store.get(key) is None
             assert not store.has(key)
         counters = metrics.snapshot()["counters"]
