@@ -189,6 +189,7 @@ class IsolationReducer:
     """
 
     name = "isolation"
+    vectorized = True
 
     def reduce(self, target, spec, state) -> Dict[str, Any]:
         """Read each node's first isolation time off the finished run."""

@@ -26,7 +26,9 @@ campaign with three guarantees the bare sweep layer never had:
    re-enters the **live** dispatch queue with bounded exponential
    backoff — no retry round barrier, siblings keep streaming.  A task
    that keeps failing ends up as a ``TaskError`` in its result slot —
-   the rest of the campaign completes regardless.
+   the rest of the campaign completes regardless.  An error that is a
+   property of the spec (:data:`FINAL_ERRORS`) fails its task on the
+   first attempt, with no retry and no backoff.
 
 Dispatch goes through a pluggable streaming backend
 (:mod:`repro.runner.backends`): a **persistent** local process pool
@@ -75,6 +77,9 @@ DEFAULT_RETRIES = 2
 #: First retry delay in seconds; doubles per round, capped below.
 DEFAULT_BACKOFF = 0.25
 DEFAULT_MAX_BACKOFF = 2.0
+#: Error types that are a property of the spec, not of the attempt: a
+#: retry would fail the same way, so the task fails on its first one.
+FINAL_ERRORS = frozenset({"UnsupportedSpecError"})
 
 
 class TaskTimeout(TimeoutError):
@@ -398,12 +403,13 @@ def run_campaign(specs: SpecsInput,
                           error: TaskError) -> List[int]:
         """Book one failed attempt per member; return who retries."""
         retryable = []
+        final = error.error_type in FINAL_ERRORS
         for index in members:
             attempts[index] += 1
             metrics.counter("campaign.task_errors").inc()
             if error.timed_out:
                 metrics.counter("campaign.timeouts").inc()
-            if attempts[index] <= retries:
+            if attempts[index] <= retries and not final:
                 retryable.append(index)
             else:
                 failures[index] = replace(error, index=index)
@@ -473,6 +479,7 @@ __all__ = [
     "DEFAULT_BACKOFF",
     "DEFAULT_MAX_BACKOFF",
     "DEFAULT_RETRIES",
+    "FINAL_ERRORS",
     "CampaignFailedError",
     "CampaignResult",
     "CampaignTask",

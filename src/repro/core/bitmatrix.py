@@ -33,7 +33,7 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .syndrome import (EPSILON, DiagnosticMatrix, Opinion, Row, Syndrome,
                        _Epsilon, make_syndrome)
@@ -123,6 +123,23 @@ class BitDiagnosticMatrix:
         matrix._bits = [bits] * n_nodes
         matrix._present = matrix._full
         matrix._uniform_row = row
+        return matrix
+
+    @classmethod
+    def shared(cls, n_nodes: int, senders: Iterable[int],
+               bits: int) -> "BitDiagnosticMatrix":
+        """A matrix whose rows of ``senders`` (0-based) all hold the
+        packed syndrome ``bits``; every other row is ε.
+
+        Carries no uniform marker, as the per-row build would not.
+        """
+        matrix = cls(n_nodes)
+        row_bits = matrix._bits
+        present = 0
+        for idx in senders:
+            row_bits[idx] = bits
+            present |= 1 << idx
+        matrix._present = present
         return matrix
 
     @classmethod
@@ -301,8 +318,9 @@ class AnalysisCache:
     never outgrows the number of *distinct views* in one round (1 for
     a healthy or symmetrically-faulty cluster, a handful under
     asymmetric faults).  Hits and misses are counted online
-    (``vote.cache_hit`` / ``vote.cache_miss``) when a metrics registry
-    is attached.
+    (``vote.cache_hit`` / ``vote.cache_miss``) when an enabled metrics
+    registry is attached; otherwise into counters no registry holds.
+    Either way they are updated in place, without a method call.
     """
 
     __slots__ = ("_round", "_entries", "_hits", "_misses")
@@ -310,11 +328,13 @@ class AnalysisCache:
     def __init__(self, metrics=None) -> None:
         self._round: Optional[int] = None
         self._entries: Dict[Tuple[int, Tuple[int, ...]], AnalysisEntry] = {}
-        if metrics is None:
-            from ..obs.registry import NULL_REGISTRY
-            metrics = NULL_REGISTRY
-        self._hits = metrics.counter("vote.cache_hit")
-        self._misses = metrics.counter("vote.cache_miss")
+        if metrics is not None and metrics.enabled:
+            self._hits = metrics.counter("vote.cache_hit")
+            self._misses = metrics.counter("vote.cache_miss")
+        else:
+            from ..obs.registry import Counter
+            self._hits = Counter("vote.cache_hit")
+            self._misses = Counter("vote.cache_miss")
 
     def lookup(self, d_round: int,
                key: Tuple[int, Tuple[int, ...]]) -> Optional[AnalysisEntry]:
@@ -327,13 +347,13 @@ class AnalysisCache:
         if d_round != self._round:
             self._round = d_round
             self._entries.clear()
-            self._misses.inc()
+            self._misses.value += 1
             return None
         entry = self._entries.get(key)
         if entry is None:
-            self._misses.inc()
+            self._misses.value += 1
         else:
-            self._hits.inc()
+            self._hits.value += 1
         return entry
 
     def store(self, key: Tuple[int, Tuple[int, ...]],

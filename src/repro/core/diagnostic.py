@@ -32,6 +32,9 @@ minority accusations by overriding two hooks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import repeat
+from operator import is_
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -131,7 +134,8 @@ class DiagnosticService:
         self._analysis_cache = (analysis_cache if analysis_cache is not None
                                 else AnalysisCache(metrics))
         # Online observability: instruments resolved once, updates
-        # guarded by one cached boolean on the per-round paths.
+        # guarded by one cached boolean on the per-round paths and made
+        # in place (no method call per increment or observation).
         self.metrics = metrics
         self._m_on = metrics is not None and metrics.enabled
         self._timing_on = self._m_on and metrics.timing
@@ -315,29 +319,46 @@ class DiagnosticService:
     # ------------------------------------------------------------------
     def _build_matrix(self, al_dm: List[Any],
                       al_ls: List[int]) -> BitDiagnosticMatrix:
-        """Aggregation: the diagnostic matrix with ε rows filled in."""
+        """Aggregation: the diagnostic matrix with ε rows filled in.
+
+        A row is present when its sender is active and its frame valid.
+        An absent row stays ε, and so does garbage from a non-obedient
+        node that still passed the controller's checks (a ``None`` or
+        malformed payload): no usable opinion.
+        """
         n = self.config.n_nodes
-        if 0 not in al_ls and 0 not in self.active:
-            # Fast path for the common fault-free round: every sender is
-            # active and valid, and (thanks to syndrome interning at
-            # dissemination) all received syndromes are the same tuple
-            # object.  The resulting matrix is exactly what the loop
-            # below would build — every row packs the same syndrome —
-            # plus the uniform marker that lets the analysis skip the
-            # vote.
-            row0 = al_dm[0]
-            if (type(row0) is tuple and len(row0) == n
-                    and all(r is row0 for r in al_dm)
-                    and row0.count(0) + row0.count(1) == n):
-                matrix = BitDiagnosticMatrix.uniform(n, row0)
+        active = self.active
+        if 0 in al_ls or 0 in active:
+            senders = [m for m in range(n) if al_ls[m] and active[m]]
+            rows = [al_dm[m] for m in senders]
+        else:
+            senders = None
+            rows = al_dm
+        if rows:
+            row0 = rows[0]
+            if all(map(is_, rows, repeat(row0))):
+                # Every present row is the same object: syndromes are
+                # interned at dissemination, so a fault-free round, or
+                # one whose faulty senders are silent or isolated,
+                # shares one tuple.  One validation and one pack build
+                # the matrix the per-row loop below would.
+                if (senders is None and type(row0) is tuple
+                        and len(row0) == n
+                        and row0.count(0) + row0.count(1) == n):
+                    # Fault-free: the uniform marker also lets the
+                    # analysis skip the vote.
+                    matrix = BitDiagnosticMatrix.uniform(n, row0)
+                elif is_valid_syndrome(row0, n):
+                    matrix = BitDiagnosticMatrix.shared(
+                        n, range(n) if senders is None else senders,
+                        pack_syndrome_cached(tuple(row0)))
+                else:
+                    matrix = BitDiagnosticMatrix(n)
                 self._last_matrix = matrix
                 return matrix
         matrix = BitDiagnosticMatrix(n)
         for m in range(1, n + 1):
-            # An invalid or isolated sender's row stays ε, and so does
-            # garbage from a non-obedient node that still passed the
-            # controller's checks: no usable opinion.
-            if (al_ls[m - 1] == 0 or self.active[m - 1] == 0
+            if (al_ls[m - 1] == 0 or active[m - 1] == 0
                     or not is_valid_syndrome(al_dm[m - 1], n)):
                 continue
             matrix.set_row_bits(m, pack_syndrome_cached(tuple(al_dm[m - 1])))
@@ -400,15 +421,18 @@ class DiagnosticService:
             # identical votes is that vote (BOTTOM is unreachable).
             cons_hv = list(uniform)
             if m_on:
-                self._m_analysis_rounds.inc()
-                self._m_uniform_rounds.inc()
-                self._m_eps_rows.observe(0)
+                self._m_analysis_rounds.value += 1
+                self._m_uniform_rounds.value += 1
+                # No ε row: the first bucket (v <= 0).
+                eps_rows = self._m_eps_rows
+                eps_rows.buckets[0] += 1
+                eps_rows.count += 1
         else:
             cons_hv = self._analyse_votes(controller, matrix, d_round)
         if m_on:
             prev = self._prev_cons_hv
             if prev is not None and prev != cons_hv:
-                self._m_hv_transitions.inc()
+                self._m_hv_transitions.value += 1
             self._prev_cons_hv = list(cons_hv)
         self._last_analysis_round = k
         if self.trace_level >= TRACE_ALL or (
@@ -435,15 +459,18 @@ class DiagnosticService:
             entry = matrix.analyse()
             cache.store(key, entry)
             if self._m_on:
-                self._m_popcount_votes.inc(n)
+                self._m_popcount_votes.value += n
         decisions, reasons, n_bottom, n_majority, n_default = entry
         if self._m_on:
-            self._m_analysis_rounds.inc()
-            self._m_hmaj_calls.inc(n)
-            self._m_eps_rows.observe(matrix.epsilon_rows())
-            self._m_hmaj_majority.inc(n_majority)
-            self._m_hmaj_bottom.inc(n_bottom)
-            self._m_hmaj_default.inc(n_default)
+            self._m_analysis_rounds.value += 1
+            self._m_hmaj_calls.value += n
+            eps_rows = self._m_eps_rows
+            eps_rows.buckets[bisect_left(eps_rows.bounds,
+                                         matrix.epsilon_rows())] += 1
+            eps_rows.count += 1
+            self._m_hmaj_majority.value += n_majority
+            self._m_hmaj_bottom.value += n_bottom
+            self._m_hmaj_default.value += n_default
         if n_bottom == 0:
             return list(decisions)
         return [self._bottom_fallback(controller, j + 1, d_round)

@@ -153,7 +153,7 @@ class LowLatencyDiagnosticService:
         ones = (ones_mask & voters).bit_count()
         diag, _ = h_maj_counts(ones, voters.bit_count() - ones)
         if self._m_on:
-            self._m_popcount_votes.inc()
+            self._m_popcount_votes.value += 1
         if diag is BOTTOM:
             if s == self.node_id:
                 diag = 1 if self.node.controller.collision_ok(r) else 0
@@ -161,7 +161,7 @@ class LowLatencyDiagnosticService:
                 diag = self._vbits.get(target, 1)
         self.verdicts[target] = diag
         if self._m_on:
-            self._m_slot_analyses.inc()
+            self._m_slot_analyses.value += 1
         if self.trace_level >= TRACE_ALL or (
                 self.trace_level >= TRACE_FAULTS and diag == 0):
             self.trace.record(self._now, "cons_slot", node=self.node_id,

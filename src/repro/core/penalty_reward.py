@@ -38,7 +38,8 @@ class PenaltyRewardState:
     counter evolutions, which tests use to assert the consistency of
     isolation decisions across nodes.  ``metrics`` (an optional
     :class:`repro.obs.MetricsRegistry`) counts counter movements
-    online; the fault-free path stays one boolean test per update.
+    online, in place (no method call per increment); the fault-free
+    path stays one boolean test per update.
     """
 
     config: ProtocolConfig
@@ -82,20 +83,20 @@ class PenaltyRewardState:
                 self.penalties[idx] += cfg.criticalities[idx]
                 self.rewards[idx] = 0
                 if m_on:
-                    self._m_penalty.inc()
+                    self._m_penalty.value += 1
                 if self.penalties[idx] > cfg.penalty_threshold:
                     curr_act[idx] = 0
                     if m_on:
-                        self._m_isolate.inc()
+                        self._m_isolate.value += 1
             elif self.penalties[idx] > 0:
                 self.rewards[idx] += 1
                 if m_on:
-                    self._m_reward.inc()
+                    self._m_reward.value += 1
                 if self.rewards[idx] >= cfg.reward_threshold:
                     self.penalties[idx] = 0
                     self.rewards[idx] = 0
                     if m_on:
-                        self._m_forget.inc()
+                        self._m_forget.value += 1
         return curr_act
 
     def update_single(self, node_id: int, faulty: bool) -> int:
@@ -112,20 +113,20 @@ class PenaltyRewardState:
             self.penalties[idx] += cfg.criticalities[idx]
             self.rewards[idx] = 0
             if m_on:
-                self._m_penalty.inc()
+                self._m_penalty.value += 1
             if self.penalties[idx] > cfg.penalty_threshold:
                 if m_on:
-                    self._m_isolate.inc()
+                    self._m_isolate.value += 1
                 return 0
         elif self.penalties[idx] > 0:
             self.rewards[idx] += 1
             if m_on:
-                self._m_reward.inc()
+                self._m_reward.value += 1
             if self.rewards[idx] >= cfg.reward_threshold:
                 self.penalties[idx] = 0
                 self.rewards[idx] = 0
                 if m_on:
-                    self._m_forget.inc()
+                    self._m_forget.value += 1
         return 1
 
     def counters_of(self, node_id: int) -> tuple:

@@ -1,21 +1,20 @@
-"""Deterministic discrete-event simulation substrate.
+"""Deterministic time-triggered simulation substrate.
 
 This package provides the simulation engine that the time-triggered
-cluster (:mod:`repro.tt`) runs on: an event queue with deterministic
-tie-breaking (:mod:`repro.sim.engine`), named random substreams
-(:mod:`repro.sim.rng`) and structured trace recording
-(:mod:`repro.sim.trace`).
+cluster (:mod:`repro.tt`) runs on: a round driver that executes each
+round's events in a deterministic order (:mod:`repro.sim.engine`),
+named random substreams (:mod:`repro.sim.rng`) and structured trace
+recording (:mod:`repro.sim.trace`).
 """
 
 from .engine import Engine, SimulationError
-from .events import Event, EventPriority
+from .events import EventPriority
 from .rng import RandomStreams, derive_seed
 from .trace import Trace, TraceRecord
 
 __all__ = [
     "Engine",
     "SimulationError",
-    "Event",
     "EventPriority",
     "RandomStreams",
     "derive_seed",

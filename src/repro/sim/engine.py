@@ -1,52 +1,67 @@
-"""Deterministic discrete-event simulation engine.
+"""Deterministic time-triggered round driver.
 
-The engine is a discrete-event simulator over one binary-heap event
-queue, specialised for the needs of this reproduction:
+The simulated cluster is time-triggered: node *i* owns slot *i* of every
+TDMA round and runs its jobs at offsets fixed by its schedule (Sec. 3),
+so every event of a round, and their order, is known before the round
+starts.  The engine therefore keeps no event queue.  It walks one round
+at a time through a *round plan*, with a cursor:
 
-* **Determinism.**  Events are totally ordered by
-  ``(time, priority, insertion sequence)``.  The queue is a binary heap
-  of ``(time, priority, seq, event)`` tuples, so that order is plain
-  tuple comparison.  Running the same scenario with the same seeds
-  produces byte-identical traces.
-* **Sub-slot resolution.**  Simulation time is a float in seconds.  TDMA
-  slot boundaries, per-slot deliveries and application job
-  executions are individual events, which lets the time-triggered layer
-  express the paper's *unconstrained node scheduling* (diagnostic jobs
-  may run at any offset within the round).
+* **Rounds.**  Round ``k`` starts at ``k * period``.  The round start is
+  itself an event (the first of its instant): it asks the plan for the
+  round's events, ``(times, actions)`` in execution order, and each
+  action is then called with ``k`` at its time.  A plan may draw
+  per-round quantities there (dynamic schedules draw their offsets).
+* **Determinism.**  A plan orders a round's events by
+  ``(time, priority, rank)`` (:func:`event_order`): time first, then
+  :class:`~repro.sim.events.EventPriority`, then the plan's own rank.
+  Running the same scenario with the same seeds produces byte-identical
+  traces.
+* **Resumable horizons.**  :meth:`Engine.run` executes every event at
+  or before its horizon (inclusive), advances the clock to the horizon
+  and keeps the cursor, so the next call resumes at the next event,
+  whether the horizon fell on a slot start, a delivery, a job or
+  between events.
 * **Bounded floating-point drift.**  All recurring activities derive
-  their activation times from integer round/slot indices multiplied by
-  the period, never by accumulating increments, so time arithmetic stays
+  their times from the round index times the period plus a fixed
+  offset, never by accumulating increments, so time arithmetic stays
   exact for the simulation horizons used in the experiments.
 
 Typical use::
 
     engine = Engine()
-    engine.schedule(0.0, EventPriority.JOB, lambda: print("hello"))
-    engine.run(until=1.0)
+    engine.start(1.0, lambda k: ([k + 0.5], [lambda k: print("round", k)]))
+    engine.run(until=2.5)
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .events import Event, EventPriority
-
-#: One heap entry: ``(time, priority, seq, event)``.
-_Entry = Tuple[float, int, int, Event]
+#: A round's events in execution order: their times and their actions
+#: (each called with the round index).
+RoundEvents = Tuple[Sequence[float], Sequence[Callable[[int], Any]]]
 
 
 class SimulationError(RuntimeError):
-    """Raised for invalid uses of the engine (e.g. scheduling in the past)."""
+    """Raised for invalid uses of the engine (e.g. time going backwards)."""
+
+
+def event_order(times: Sequence[float],
+                priorities: Sequence[int]) -> List[int]:
+    """Indices of a round's events in execution order.
+
+    Events run by time, then by priority (lower first), then by their
+    index in the sequences, which is the plan's rank.
+    """
+    return sorted(range(len(times)),
+                  key=lambda i: (times[i], priorities[i], i))
 
 
 class Engine:
-    """Deterministic discrete-event scheduler.
+    """Deterministic time-triggered round driver.
 
-    :meth:`schedule` pushes ``(time, priority, seq, event)`` onto a
-    binary heap and returns the :class:`Event`; :meth:`run` is the one
-    loop that pops and executes them.
+    :meth:`start` installs the round plan; :meth:`run` executes rounds
+    up to an inclusive horizon and may be called again to resume.
 
     Attributes
     ----------
@@ -56,10 +71,17 @@ class Engine:
 
     def __init__(self, metrics: Optional[Any] = None) -> None:
         self.now: float = 0.0
-        self._queue: List[_Entry] = []
         self._running = False
-        self._stopped = False
         self._executed_events = 0
+        self._period = 0.0
+        self._round_events: Optional[Callable[[int], RoundEvents]] = None
+        # The cursor: the round whose events are loaded, those events,
+        # and the index of the next one to run.  Before the first round
+        # starts, an empty round -1 is loaded.
+        self._round = -1
+        self._times: Sequence[float] = ()
+        self._actions: Sequence[Callable[[int], Any]] = ()
+        self._cursor = 0
         # Optional online observability (repro.obs.MetricsRegistry);
         # kept as a duck-typed argument so the engine stays importable
         # without the obs package.
@@ -69,147 +91,111 @@ class Engine:
         self._m_events = (metrics.counter("engine.events_executed")
                           if self._m_on else None)
 
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(
-        self,
-        time: float,
-        priority: int,
-        callback: Callable[[], Any],
-        description: str = "",
-    ) -> Event:
-        """Schedule ``callback`` at absolute ``time``.
+    def start(self, period: float,
+              round_events: Callable[[int], RoundEvents]) -> None:
+        """Install the round plan: rounds of ``period`` seconds whose
+        events ``round_events(k)`` returns at the start of round ``k``.
 
-        Scheduling at the current instant is allowed (the event runs
-        within the current ``run`` call, after any already-queued events
-        with smaller priority); scheduling strictly in the past raises
-        :class:`SimulationError`.  ``description`` only labels the
-        event's ``repr``.
+        Every event of round ``k`` must fall within ``[k * period,
+        (k + 1) * period)``; a later one raises :class:`SimulationError`
+        when its round starts.
         """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
-        event = Event(time, int(priority), callback, description)
-        heapq.heappush(self._queue, (time, event.priority, event.seq, event))
-        return event
-
-    def schedule_after(
-        self,
-        delay: float,
-        priority: int,
-        callback: Callable[[], Any],
-        description: str = "",
-    ) -> Event:
-        """Schedule ``callback`` after a relative ``delay`` (>= 0)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.schedule(self.now + delay, priority, callback, description)
+        if self._round_events is not None:
+            raise SimulationError("the engine already has a round plan")
+        if not period > 0:
+            raise ValueError(f"period must be positive, got {period}")
+        self._period = period
+        self._round_events = round_events
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue empties or a bound is hit.
+    def run(self, until: float) -> int:
+        """Run every event at or before ``until`` (inclusive).
 
-        Parameters
-        ----------
-        until:
-            Inclusive time horizon.  Events scheduled at exactly
-            ``until`` execute; later events remain queued.
-        max_events:
-            Optional safety bound on the number of events executed in
-            this call.
-
-        Returns
-        -------
-        int
-            Number of events executed by this call.
+        Afterwards the clock reads ``until`` (or stays later, if it
+        already was), and the cursor waits on the first event after
+        it.  Returns the number of events executed by this call,
+        counting each round start as one.
 
         With a timing-enabled metrics registry the call is timed under
         ``engine.run``.
         """
         if self._timing_on:
             with self._metrics.timer("engine.run"):
-                return self._run(until, max_events)
-        return self._run(until, max_events)
+                return self._run(until)
+        return self._run(until)
 
-    def _run(self, until: Optional[float],
-             max_events: Optional[int]) -> int:
+    def _run(self, horizon: float) -> int:
         if self._running:
             raise SimulationError("engine is not reentrant")
+        round_events = self._round_events
+        if round_events is None:
+            raise SimulationError("the engine has no round plan; call start()")
         self._running = True
-        self._stopped = False
         executed = 0
-        # The loop keeps the queue, the bounds and the clock in locals;
-        # ``self.now`` is still written before every callback, which
-        # reads it.
-        queue = self._queue
-        pop = heapq.heappop
-        horizon = math.inf if until is None else until
-        limit = math.inf if max_events is None else max_events
+        # The loop keeps the cursor and the clock in locals; ``self.now``
+        # is still written before every action, which reads it.
+        period = self._period
+        k = self._round
+        times = self._times
+        actions = self._actions
+        i = self._cursor
+        n = len(times)
         now = self.now
         try:
-            while queue:
-                if self._stopped:
-                    break
-                time = queue[0][0]
+            while True:
+                if i == n:
+                    # The next round start.
+                    time = (k + 1) * period
+                    if time > horizon:
+                        break
+                    if time < now:
+                        raise SimulationError(
+                            f"time went backwards: round {k + 1} starts at "
+                            f"t={time}, before now={now}")
+                    now = self.now = time
+                    times, actions = round_events(k + 1)
+                    k += 1
+                    n = len(times)
+                    i = 0
+                    executed += 1
+                    if n and times[-1] >= (k + 1) * period:
+                        raise SimulationError(
+                            f"round {k} has an event at t={times[-1]}, "
+                            f"not before round {k + 1} starts")
+                    continue
+                time = times[i]
                 if time > horizon:
                     break
-                event = pop(queue)[3]
-                if event.cancelled:
-                    continue
                 if time < now:
-                    raise SimulationError("event queue corrupted: time went backwards")
+                    raise SimulationError(
+                        f"time went backwards: event at t={time} in round "
+                        f"{k}, before now={now}")
                 now = self.now = time
-                event.callback()
+                i += 1
+                actions[i - 1](k)
                 executed += 1
-                if executed >= limit:
-                    break
-            if until is not None and not self._stopped:
-                # Advance the clock to the horizon even if the queue
-                # drained earlier, so callers can resume seamlessly.
-                self.now = max(self.now, until)
+            if horizon > self.now:
+                self.now = horizon
         finally:
+            self._round = k
+            self._times = times
+            self._actions = actions
+            self._cursor = i
             self._running = False
             self._executed_events += executed
             if self._m_on:
                 self._m_events.inc(executed)
         return executed
 
-    def stop(self) -> None:
-        """Request the current ``run`` call to return after this event."""
-        self._stopped = True
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return len(self._queue)
-
     @property
     def executed_events(self) -> int:
         """Total number of events executed over the engine's lifetime."""
         return self._executed_events
 
-    def peek(self) -> Optional[Event]:
-        """The next live event without executing it, or ``None``.
 
-        Cancelled events at the head of the queue are discarded as a
-        side effect, exactly as :meth:`run` would skip them.
-        """
-        queue = self._queue
-        while queue and queue[0][3].cancelled:
-            heapq.heappop(queue)
-        return queue[0][3] if queue else None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        event = self.peek()
-        return event.time if event is not None else None
-
-
-__all__ = ["Engine", "Event", "EventPriority", "SimulationError"]
+__all__ = ["Engine", "RoundEvents", "SimulationError", "event_order"]

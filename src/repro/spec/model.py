@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple, Type, Union
 
@@ -78,6 +79,23 @@ def _json_canonical(value: Any) -> Any:
     return json.loads(json.dumps(value))
 
 
+def _int(owner: str, name: str, value: Any) -> int:
+    """``value`` as an ``int``; a bool or a non-integer is a ValueError.
+
+    Spec fields are checked where they are read, so a malformed spec
+    fails when it is parsed (HTTP 400 / exit 2), not when it is built.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{owner}.{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(owner: str, name: str, value: Any) -> None:
+    """Raise ValueError unless ``value`` is a number (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{owner}.{name} must be a number, got {value!r}")
+
+
 def _field_values(spec: Any) -> Dict[str, Any]:
     """A flat spec dataclass's fields as a dict, in field order."""
     return {f.name: getattr(spec, f.name) for f in fields(spec)}
@@ -104,8 +122,15 @@ class ProtocolSpec:
     reintegration_reward_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "criticalities",
-                           tuple(int(c) for c in self.criticalities))
+        for name in ("n_nodes", "penalty_threshold", "reward_threshold",
+                     "startup_rounds"):
+            object.__setattr__(self, name,
+                               _int("protocol", name, getattr(self, name)))
+        if self.reintegration_reward_threshold is not None:
+            _int("protocol", "reintegration_reward_threshold",
+                 self.reintegration_reward_threshold)
+        object.__setattr__(self, "criticalities", tuple(
+            _int("protocol", "criticalities", c) for c in self.criticalities))
         IsolationMode(self.isolation_mode)  # validates the string
         self.to_config()  # delegate the full range checks to the config
 
@@ -150,6 +175,10 @@ class ClusterSpec:
     trace_level: int = TRACE_ALL
 
     def __post_init__(self) -> None:
+        _real("cluster", "round_length", self.round_length)
+        _real("cluster", "tx_fraction", self.tx_fraction)
+        for name in ("seed", "n_channels", "trace_level"):
+            _int("cluster", name, getattr(self, name))
         if self.round_length <= 0:
             raise ValueError("round_length must be positive")
         if not 0.0 < self.tx_fraction < 1.0:
@@ -221,9 +250,12 @@ class ScheduleSpec:
         if self.exec_after is not None:
             if self.kind != "static":
                 raise ValueError("exec_after requires kind='static'")
-            if not isinstance(self.exec_after, int):
-                object.__setattr__(self, "exec_after",
-                                   tuple(int(p) for p in self.exec_after))
+            if isinstance(self.exec_after, (list, tuple)):
+                object.__setattr__(self, "exec_after", tuple(
+                    _int("schedule", "exec_after", p)
+                    for p in self.exec_after))
+            else:
+                _int("schedule", "exec_after", self.exec_after)
         elif self.kind == "static":
             raise ValueError("kind='static' requires exec_after")
 
@@ -249,8 +281,9 @@ class VariantSpec:
         if self.service not in _SERVICES:
             raise ValueError(
                 f"service must be one of {_SERVICES}, got {self.service!r}")
-        object.__setattr__(self, "byzantine_nodes",
-                           tuple(int(b) for b in self.byzantine_nodes))
+        object.__setattr__(self, "byzantine_nodes", tuple(
+            _int("variant", "byzantine_nodes", b)
+            for b in self.byzantine_nodes))
         if self.lowlatency_membership and self.service != "lowlatency":
             raise ValueError(
                 "lowlatency_membership requires service='lowlatency'")
@@ -285,8 +318,11 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        if self.n_rounds < 0:
+        if _int("RunSpec", "n_rounds", self.n_rounds) < 0:
             raise ValueError("n_rounds must be >= 0")
+        if self.reducer is not None and not isinstance(self.reducer, str):
+            raise ValueError(
+                f"RunSpec.reducer must be a string, got {self.reducer!r}")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -295,6 +331,26 @@ class RunSpec:
                 raise ValueError(
                     "the lowlatency service manages its own schedules; "
                     "use schedule kind 'default'")
+        n = self.protocol.n_nodes
+        exec_after = self.schedule.exec_after
+        if exec_after is None:
+            positions: Tuple[int, ...] = ()
+        elif isinstance(exec_after, tuple):
+            if len(exec_after) != n:
+                raise ValueError(
+                    f"schedule.exec_after must be one position or {n} "
+                    f"(one per node), got {len(exec_after)}")
+            positions = exec_after
+        else:
+            positions = (exec_after,)
+        if any(not 0 <= p <= n for p in positions):
+            raise ValueError(
+                f"schedule.exec_after positions must be in 0..{n}, got "
+                f"{exec_after!r}")
+        if any(not 1 <= b <= n for b in self.variant.byzantine_nodes):
+            raise ValueError(
+                f"variant.byzantine_nodes must be node ids in 1..{n}, got "
+                f"{list(self.variant.byzantine_nodes)}")
 
     # ------------------------------------------------------------------
     # Serialization

@@ -20,7 +20,12 @@ dataclass, fails its task with :class:`TypeError`.  Optionally::
 
 ``prepare`` runs after the cluster is built but *before* the simulation
 is driven — the place to install probes (e.g. counter-evolution hooks)
-whose observations ``reduce`` later scores.  Reducers must be stateless
+whose observations ``reduce`` later scores.  A reducer whose ``reduce``
+reads only what the vectorized backend's replicate view
+(:class:`repro.vec.kernel.VectorizedRun`) exposes declares ``vectorized =
+True``; the vectorized backend refuses every other reducer with
+:class:`repro.vec.UnsupportedSpecError` before it runs the kernel.
+Reducers must be stateless
 (shared registry instances are called concurrently-by-copy in worker
 processes) and deterministic.
 
@@ -77,6 +82,7 @@ class SummaryReducer:
     """
 
     name = "summary"
+    vectorized = True
 
     def reduce(self, target, spec, state) -> Dict[str, Any]:
         """Summarise a finished run as a JSON-native dict."""

@@ -4,8 +4,12 @@ The bus connects all communication controllers.  At the start of a
 sending slot the owning node's controller hands the bus a frame (or
 ``None`` if the node does not transmit); the bus consults the
 fault-injection layer for the per-receiver outcome on each channel,
-composes replicated channels, and schedules the delivery at the end of
-the transmission window.
+composes replicated channels, records the ``tx`` trace record, and
+holds the slot's outcome until the cluster driver hands it over with
+:meth:`Bus.deliver` at the end of the transmission window.  A quiescent
+slot (no scenario can affect it) skips the injection layer and is
+latched into every receiver in one pass
+(:func:`~repro.tt.controller.latch_valid_frame`).
 
 Key modelling points (Sec. 3/4 of the paper):
 
@@ -28,12 +32,14 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..faults.injector import InjectionLayer, TransmissionContext
 from ..faults.model import ReceptionOutcome, classify_broadcast
 from ..sim.engine import Engine
-from ..sim.events import EventPriority
 from ..sim.trace import Trace
+from .controller import latch_valid_frame
 from .frames import Frame
 from .timebase import TimeBase
 
-_SLOT_DELIVER = int(EventPriority.SLOT_DELIVER)
+#: A transmitted slot awaiting its delivery: ``(sender, per_receiver,
+#: payload)``, ``per_receiver`` being ``None`` for an all-valid frame.
+_Pending = Tuple[int, Optional[Dict[int, Tuple[bool, Any]]], Any]
 
 
 class Bus:
@@ -54,11 +60,14 @@ class Bus:
         self._node_ids: Tuple[int, ...] = ()
         # (node_id, controller.deliver) in ascending node order.
         self._ordered: Tuple[Tuple[int, Any], ...] = ()
-        self._delivers: Tuple[Any, ...] = ()
+        self._controllers: Tuple[Any, ...] = ()
         self._all_valid: Dict[int, int] = {}
+        # Transmitted slots awaiting their delivery, by slot.
+        self._pending: Dict[int, _Pending] = {}
         # Online observability (repro.obs): instruments resolved once,
         # per-slot updates guarded by one cached boolean so disabled
-        # metrics cost a single truth test on the hot path.
+        # metrics cost a single truth test on the hot path, and made in
+        # place on the counters (no method call per slot).
         self._metrics = metrics
         self._m_on = metrics is not None and metrics.enabled
         self._timing_on = self._m_on and metrics.timing
@@ -82,7 +91,7 @@ class Bus:
         self._node_ids = tuple(sorted(self._receivers))
         self._ordered = tuple((i, self._receivers[i].deliver)
                               for i in self._node_ids)
-        self._delivers = tuple(deliver for _i, deliver in self._ordered)
+        self._controllers = tuple(self._receivers[i] for i in self._node_ids)
         self._all_valid = {i: 1 for i in self._node_ids}
 
     @property
@@ -101,7 +110,7 @@ class Bus:
 
         When the injection layer reports the slot quiescent, the
         transmission takes :meth:`transmit_quiescent` instead — same
-        trace record, same deliveries, one batched delivery event.
+        trace record, same deliveries, latched in one pass.
         """
         if (frame is not None
                 and self.injection.is_quiescent(round_index, slot,
@@ -140,10 +149,10 @@ class Bus:
     def _transmit_slow(self, round_index: int, slot: int,
                        frame: Optional[Frame]) -> None:
         if self._m_on:
-            self._m_slots_total.inc()
-            self._m_slots_slow.inc()
+            self._m_slots_total.value += 1
+            self._m_slots_slow.value += 1
             if frame is None:
-                self._m_slots_silent.inc()
+                self._m_slots_silent.value += 1
         receivers = self.node_ids
         per_receiver: Dict[int, Tuple[bool, Any]] = {}
         causes: List[str] = []
@@ -205,10 +214,7 @@ class Bus:
             validity=validity,
             causes=tuple(dict.fromkeys(causes)),
         )
-
-        self.engine.schedule(
-            self.timebase.delivery_time(round_index, slot), _SLOT_DELIVER,
-            lambda: self._deliver(round_index, slot, sender_id, per_receiver))
+        self._pending[slot] = (sender_id, per_receiver, None)
 
     def transmit_quiescent(self, round_index: int, slot: int,
                            sender: int, payload: Any) -> None:
@@ -217,13 +223,13 @@ class Bus:
         The outcome is known without consulting the injection layer:
         every receiver accepts the payload on the first channel.  The
         ``tx`` trace record carries exactly the fields the slow path
-        would produce for an all-OK broadcast, and the single batched
-        delivery event calls the controllers in the same order at the
-        same instant as the slow path's delivery loop.
+        would produce for an all-OK broadcast, and :meth:`deliver`
+        latches the frame into the controllers, in the same order and
+        at the same instant as the slow path's per-receiver loop.
         """
         if self._m_on:
-            self._m_slots_total.inc()
-            self._m_slots_fast.inc()
+            self._m_slots_total.value += 1
+            self._m_slots_fast.value += 1
         trace = self.trace
         if trace.level > 0:
             trace.record(
@@ -232,22 +238,25 @@ class Bus:
                 sent=True, fault_class="none",
                 validity=self._all_valid, causes=(),
             )
-        self.engine.schedule(
-            self.timebase.delivery_time(round_index, slot), _SLOT_DELIVER,
-            lambda: self._deliver_batch(round_index, slot, sender, payload))
+        self._pending[slot] = (sender, None, payload)
 
-    # Deliveries call each controller's ``deliver``, bound at attach,
-    # with positional arguments: one call per frame and receiver is the
-    # bus's hottest path.
-    def _deliver_batch(self, round_index: int, slot: int, sender: int,
-                       payload: Any) -> None:
-        now = self.engine.now
-        for deliver in self._delivers:
-            deliver(sender, round_index, slot, True, payload, now)
+    def deliver(self, round_index: int, slot: int) -> None:
+        """Hand the frame transmitted in ``slot`` to every receiver.
 
-    def _deliver(self, round_index: int, slot: int, sender: int,
-                 per_receiver: Dict[int, Tuple[bool, Any]]) -> None:
+        Called by the cluster driver at the end of the slot's
+        transmission window (:meth:`TimeBase.delivery_time`); the
+        receivers see the engine's clock as the delivery instant.  An
+        all-valid frame is latched in one pass; any other outcome
+        calls each controller's ``deliver`` in ascending node order.
+        """
+        sender, per_receiver, payload = self._pending.pop(slot)
         now = self.engine.now
+        if per_receiver is None:
+            latch_valid_frame(self._controllers, sender, round_index, slot,
+                              payload, now)
+            return
+        # Bound at attach and called with positional arguments: one
+        # call per frame and receiver.
         for node_id, deliver in self._ordered:
             valid, payload = per_receiver[node_id]
             deliver(sender, round_index, slot, valid, payload, now)

@@ -7,25 +7,30 @@ nodes (4 in the paper, any ``N >= 2`` here) interconnected via a
 (possibly replicated) TT network, each running jobs on top of a TT
 operating system, plus a disturbance capability.
 
-The driver schedules, for each round ``k``:
+The cluster is the engine's round plan.  Round ``k`` holds ``3N``
+events:
 
-* one transmission event per slot at the slot start (the sender's
-  controller latches its out-buffer into a frame, the bus applies
-  fault injection and schedules delivery at the end of the
-  transmission window);
-* one job-execution event per node at the node's schedule offset;
-* a control event at the start of round ``k+1`` that lazily schedules
-  the next round, so arbitrarily long simulations need O(N) queued
-  events at any time.
+* one transmission per slot at the slot start (the sender's controller
+  latches its out-buffer into a frame, and the bus applies fault
+  injection and records the ``tx`` trace record);
+* one delivery per slot at the end of its transmission window (the bus
+  hands the frame to every receiver);
+* one job execution per node at the node's schedule offset.
+
+They run in ``(time, priority, rank)`` order, rank being the slot or
+node number.  With static schedules that order is computed once; a
+dynamic schedule draws every node's offset at the round start, in node
+order, and the round is ordered then.
 """
 
 from __future__ import annotations
 
+import sys
 from random import Random
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..faults.injector import InjectionLayer, Scenario
-from ..sim.engine import Engine
+from ..sim.engine import Engine, RoundEvents, event_order
 from ..sim.events import EventPriority
 from ..sim.rng import RandomStreams
 from ..sim.trace import Trace
@@ -43,10 +48,8 @@ from .timebase import TimeBase
 #: The paper's prototype TDMA round length (automotive and aerospace).
 PAPER_ROUND_LENGTH = 2.5e-3
 
-# Plain-int priorities for the per-round events (the engine stores the
-# int either way; this skips the enum conversion on the hot path).
-_INJECTOR = int(EventPriority.INJECTOR)
 _SLOT_TRANSMIT = int(EventPriority.SLOT_TRANSMIT)
+_SLOT_DELIVER = int(EventPriority.SLOT_DELIVER)
 _JOB = int(EventPriority.JOB)
 
 
@@ -184,72 +187,123 @@ class Cluster:
         return self.engine.now
 
     # ------------------------------------------------------------------
-    # Internal driver
+    # Round plan
     # ------------------------------------------------------------------
     def _ensure_started(self) -> None:
-        if not self._started:
-            self._started = True
-            # What a round's events need and what cannot change once the
-            # simulation runs (senders, controllers, node schedules) is
-            # resolved here once instead of in every round.
-            self._transmit_plan = [self._transmit_factory(slot)
-                                   for slot in range(1, self.n_nodes + 1)]
-            self._job_plan = [(node.schedule.params, self._job_factory(node))
-                              for node in self.nodes.values()]
-            self.engine.schedule(0.0, EventPriority.INJECTOR,
-                                 lambda: self._schedule_round(0),
-                                 description="bootstrap round 0")
+        if self._started:
+            return
+        self._started = True
+        # What a round's events need and what cannot change once the
+        # simulation runs (senders, controllers, node schedules) is
+        # resolved here once instead of in every round.  Events are
+        # listed transmissions, deliveries, jobs, each in slot or node
+        # order; the list index is the event's rank.
+        tb = self.timebase
+        slots = range(1, self.n_nodes + 1)
+        nodes = list(self.nodes.values())
+        self._actions = ([self._transmit_action(slot) for slot in slots]
+                         + [self._delivery_action(slot) for slot in slots]
+                         + [self._job_action(node) for node in nodes])
+        self._priorities = ([_SLOT_TRANSMIT] * len(slots)
+                            + [_SLOT_DELIVER] * len(slots)
+                            + [_JOB] * len(nodes))
+        # Slot starts and delivery instants as offsets from the round
+        # start (round 0's times are the offsets themselves).
+        self._bus_offsets = ([tb.slot_start(0, slot) for slot in slots]
+                             + [tb.delivery_time(0, slot) for slot in slots])
+        self._schedules = [node.schedule for node in nodes]
+        self._static_rounds = 0
+        if all(schedule.is_static for schedule in self._schedules):
+            offsets = self._bus_offsets + [schedule.params(0).offset
+                                           for schedule in self._schedules]
+            order = event_order(offsets, self._priorities)
+            self._static_offsets = [offsets[i] for i in order]
+            self._static_actions = tuple(self._actions[i] for i in order)
+            self._static_rounds = _exact_rounds(self._static_offsets,
+                                                [self._priorities[i]
+                                                 for i in order],
+                                                order, tb.round_length)
+        self.engine.start(tb.round_length, self._round_events)
 
     def _check_not_started(self, what: str) -> None:
         if self._started:
             raise RuntimeError(f"cannot {what} after the simulation started")
 
-    def _schedule_round(self, round_index: int) -> None:
-        tb = self.timebase
-        schedule = self.engine.schedule
-        # Transmissions: one per slot, at the slot start.
-        for start, make_transmit in zip(tb.slot_starts(round_index),
-                                        self._transmit_plan):
-            schedule(start, _SLOT_TRANSMIT, make_transmit(round_index))
-        # Job executions: one batch per node, at the node's offset.
-        round_start = tb.round_start(round_index)
-        for params_of, make_job in self._job_plan:
-            schedule(round_start + params_of(round_index).offset, _JOB,
-                     make_job(round_index))
-        # Lazily schedule the next round at its start.
-        schedule(tb.round_start(round_index + 1), _INJECTOR,
-                 lambda: self._schedule_round(round_index + 1))
+    def _round_events(self, round_index: int) -> RoundEvents:
+        """Round ``round_index``'s events in execution order.
 
-    def _transmit_factory(self, slot: int) -> Callable[[int], Callable[[], None]]:
+        Every time is ``round_index * T + offset``, the expression the
+        time base uses, so events of equal offset tie exactly.
+        """
+        base = round_index * self.timebase.round_length
+        if round_index < self._static_rounds:
+            return ([base + offset for offset in self._static_offsets],
+                    self._static_actions)
+        # Draw this round's job offsets, in node order, and order the
+        # round by (time, priority, rank).
+        offsets = self._bus_offsets + [schedule.params(round_index).offset
+                                       for schedule in self._schedules]
+        times = [base + offset for offset in offsets]
+        order = event_order(times, self._priorities)
+        return ([times[i] for i in order], [self._actions[i] for i in order])
+
+    def _transmit_action(self, slot: int) -> Callable[[int], None]:
         sender = self.schedule.sender_of_slot(slot)
         controller = self.nodes[sender].controller
         bus = self.bus
 
-        def make(round_index: int) -> Callable[[], None]:
-            def transmit() -> None:
-                if controller.tx_enabled:
-                    # transmit_latched only materialises a Frame if the
-                    # transmission leaves the quiescent fast path.
-                    bus.transmit_latched(round_index, slot, sender,
-                                         controller.build_payload())
-                else:
-                    bus.transmit(round_index, slot, None)
+        def transmit(round_index: int) -> None:
+            if controller.tx_enabled:
+                # transmit_latched only materialises a Frame if the
+                # transmission leaves the quiescent fast path.
+                bus.transmit_latched(round_index, slot, sender,
+                                     controller.build_payload())
+            else:
+                bus.transmit(round_index, slot, None)
 
-            return transmit
+        return transmit
 
-        return make
+    def _delivery_action(self, slot: int) -> Callable[[int], None]:
+        deliver = self.bus.deliver
 
-    def _job_factory(self, node: Node) -> Callable[[int], Callable[[], None]]:
+        def delivery(round_index: int) -> None:
+            deliver(round_index, slot)
+
+        return delivery
+
+    def _job_action(self, node: Node) -> Callable[[int], None]:
         execute_jobs = node.execute_jobs
         engine = self.engine
 
-        def make(round_index: int) -> Callable[[], None]:
-            def execute() -> None:
-                execute_jobs(round_index, engine.now)
+        def execute(round_index: int) -> None:
+            execute_jobs(round_index, engine.now)
 
-            return execute
+        return execute
 
-        return make
+
+def _exact_rounds(offsets: Sequence[float], priorities: Sequence[int],
+                  ranks: Sequence[int], round_length: float) -> float:
+    """Rounds over which a static round's once-computed order is exact.
+
+    That order sorts events by offset, but round ``k`` runs by the time
+    ``k * T + offset``.  Two events whose offsets differ may round to
+    the same time once ``k * T`` is large enough; they then run by
+    priority and rank, which flips them if the later offset has the
+    smaller ``(priority, rank)``.  Float addition never swaps two
+    times, and it keeps two offsets ``g`` apart distinct while ``g``
+    exceeds one unit in the last place of ``(k + 1) * T``.  The bound
+    keeps a factor of four below that, and the static order serves
+    rounds below it (for any real schedule, more rounds than a
+    simulation runs); later rounds are ordered one by one.
+    """
+    limit = float("inf")
+    for a in range(len(offsets) - 1):
+        gap = offsets[a + 1] - offsets[a]
+        if gap > 0 and ((priorities[a], ranks[a])
+                        > (priorities[a + 1], ranks[a + 1])):
+            limit = min(limit, gap / (4 * sys.float_info.epsilon
+                                      * round_length) - 1)
+    return limit
 
 
 __all__ = ["Cluster", "PAPER_ROUND_LENGTH"]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.trace import Trace
 
@@ -63,7 +63,8 @@ class CommunicationController:
         # 1-based interface state; index 0 unused.
         self._values: List[Any] = [None] * (n_nodes + 1)
         self._validity: List[int] = [0] * (n_nodes + 1)
-        self._rounds_sent: List[Optional[int]] = [None] * (n_nodes + 1)
+        # Each value's diagnostic channel, extracted once at delivery.
+        self._diag: List[Any] = [None] * (n_nodes + 1)
         self._status: List[SenderStatus] = [SenderStatus.ACTIVE] * (n_nodes + 1)
         # Own-slot collision results of the last _HISTORY_DEPTH rounds
         # (the protocol reads at most round k-3).
@@ -136,7 +137,8 @@ class CommunicationController:
         if valid:
             self._validity[sender] = 1
             self._values[sender] = payload
-            self._rounds_sent[sender] = round_index
+            self._diag[sender] = (payload.get(DIAG_CHANNEL)
+                                  if isinstance(payload, dict) else payload)
             self._history[sender].append((round_index, 1, payload))
         else:
             self._validity[sender] = 0
@@ -177,8 +179,13 @@ class CommunicationController:
 
         Entry ``j-1`` belongs to sender ``j``: the same values as
         ``read_interface(channel)[1:]`` and ``read_validity()[1:]``,
-        read in one call (the diagnostic job's per-round input).
+        read in one call (the diagnostic job's per-round input).  The
+        diagnostic channel's values were extracted when each frame was
+        latched; other channels are extracted on every read.  Both
+        lists are fresh copies.
         """
+        if channel == DIAG_CHANNEL:
+            return self._diag[1:], self._validity[1:]
         return ([v.get(channel) if isinstance(v, dict) else v
                  for v in self._values[1:]],
                 self._validity[1:])
@@ -231,4 +238,31 @@ class CommunicationController:
         self.tx_enabled = True
 
 
-__all__ = ["CommunicationController", "SenderStatus"]
+def latch_valid_frame(controllers: Sequence[CommunicationController],
+                      sender: int, round_index: int, slot: int,
+                      payload: Any, time: float) -> None:
+    """Latch one frame that every receiver got valid (a quiescent slot).
+
+    Same effect as ``c.deliver(sender, round_index, slot, True,
+    payload, time)`` on each controller in turn, in one pass: the
+    diagnostic channel's value is extracted once, and every receiver
+    shares one ``(round_index, 1, payload)`` receive-history entry.  A
+    controller takes its own :meth:`~CommunicationController.deliver`
+    when it is the sender (its collision detector reads the frame
+    back), when it ignores the sender (the frame then reads invalid),
+    or when it has delivery listeners.
+    """
+    entry = (round_index, 1, payload)
+    diag = payload.get(DIAG_CHANNEL) if isinstance(payload, dict) else payload
+    for c in controllers:
+        if (c.node_id == sender or c._delivery_listeners
+                or c._status[sender] is _IGNORED):
+            c.deliver(sender, round_index, slot, True, payload, time)
+            continue
+        c._validity[sender] = 1
+        c._values[sender] = payload
+        c._diag[sender] = diag
+        c._history[sender].append(entry)
+
+
+__all__ = ["CommunicationController", "SenderStatus", "latch_valid_frame"]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 #: Tolerance used when mapping continuous times to slot indices; well
 #: below any slot length used in practice.
@@ -83,8 +83,8 @@ class TimeBase:
         self.tx_fraction = float(tx_fraction)
         # Per-slot offsets from the round start.  Every slot time is
         # ``round_index * round_length + offset`` (slot_start,
-        # slot_starts, delivery_time), so all callers get the same
-        # floats however they ask.
+        # delivery_time, and the cluster's round plan), so all callers
+        # get the same floats however they ask.
         self._slot_offsets = tuple((slot - 1) * self.slot_length
                                    for slot in range(1, n_slots + 1))
         self._delivery_offsets = tuple(
@@ -118,11 +118,6 @@ class TimeBase:
         """
         self._check_slot(slot)
         return round_index * self.round_length + self._slot_offsets[slot - 1]
-
-    def slot_starts(self, round_index: int) -> List[float]:
-        """:meth:`slot_start` of slots ``1..N`` of one round, in order."""
-        base = round_index * self.round_length
-        return [base + offset for offset in self._slot_offsets]
 
     def delivery_time(self, round_index: int, slot: int) -> float:
         """Instant receivers latch the frame of the given slot."""

@@ -819,11 +819,11 @@ def _replicate_spec(spec: RunSpec, seed: int) -> RunSpec:
 
 
 def _check_reducer(resolved: Any) -> None:
-    if getattr(resolved, "prepare", None) is not None:
+    if not getattr(resolved, "vectorized", False):
         raise UnsupportedSpecError(
-            f"reducer {getattr(resolved, 'name', resolved)!r} installs "
-            "probes on the event-engine cluster; run it with "
-            "backend='event'")
+            f"reducer {getattr(resolved, 'name', resolved)!r} reads the "
+            "event-engine cluster (it does not declare vectorized = True); "
+            "run it with backend='event'")
 
 
 def execute_vectorized(spec: RunSpec, reducer: Any = None,

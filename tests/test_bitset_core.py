@@ -9,6 +9,7 @@ planes is pinned separately by the differential fuzz in
 ``test_fastpath_equivalence.py``.
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,10 @@ from repro.core.bitmatrix import (
     pack_syndrome_cached,
     unpack_syndrome,
 )
-from repro.core.syndrome import EPSILON, DiagnosticMatrix
+from repro.core.config import uniform_config
+from repro.core.service import DiagnosedCluster
+from repro.core.syndrome import (EPSILON, DiagnosticMatrix, intern_syndrome,
+                                 is_valid_syndrome)
 from repro.core.voting import BOTTOM, h_maj_explain
 from repro.obs import MetricsRegistry
 
@@ -184,6 +188,50 @@ class TestAnalysisCache:
         cache = AnalysisCache()
         matrix = BitDiagnosticMatrix(3)
         assert cache.lookup(0, matrix.key()) is None
+
+
+class TestMatrixBuild:
+    """The diagnostic service's aggregation builds the matrix of the
+    per-row rule: a row is present iff its sender is active, its frame
+    valid and its payload a well-formed syndrome, whichever shortcut
+    (uniform, shared syndrome) the build takes."""
+
+    @staticmethod
+    def _per_row(al_dm, al_ls, active, n):
+        return BitDiagnosticMatrix.from_rows([
+            tuple(row) if (valid and is_active
+                           and is_valid_syndrome(row, n)) else EPSILON
+            for row, valid, is_active in zip(al_dm, al_ls, active)])
+
+    def test_every_row_pattern_matches_the_per_row_rule(self):
+        n = 4
+        service = DiagnosedCluster(uniform_config(n, penalty_threshold=3,
+                                                  reward_threshold=5),
+                                   seed=0).service(1)
+        # Interned syndromes, a valid list, a None payload and two
+        # malformed ones; repeats of one palette entry share an object.
+        palette = [intern_syndrome((1, 1, 0, 1)),
+                   intern_syndrome((1, 1, 1, 1)), None, [1, 0, 1, 1],
+                   (1, 1), (1, 2, 1, 1)]
+        shapes = 0
+        for rows in itertools.product(palette, repeat=n):
+            al_dm = list(rows)
+            for al_ls in itertools.product((0, 1), repeat=n):
+                for active in ([1] * n, [1, 1, 0, 1]):
+                    service.active = list(active)
+                    built = service._build_matrix(al_dm, list(al_ls))
+                    expected = self._per_row(al_dm, al_ls, active, n)
+                    assert built.key() == expected.key(), (rows, al_ls,
+                                                           active)
+                    row0 = al_dm[0]
+                    uniform = (all(r is row0 for r in al_dm)
+                               and 0 not in al_ls and 0 not in active
+                               and type(row0) is tuple
+                               and is_valid_syndrome(row0, n))
+                    assert built.uniform_row() == (row0 if uniform
+                                                   else None)
+                    shapes += 1
+        assert shapes == len(palette) ** n * 2 ** n * 2
 
 
 class TestEscapeHatch:

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -217,6 +218,30 @@ class TestFaultTolerance:
         assert sleeps == [0.25, 0.5]
         counters = metrics.snapshot()["counters"]
         assert counters["campaign.retries"] == 2
+        assert counters["campaign.failed"] == 1
+
+    def test_unsupported_spec_error_fails_without_retry(self):
+        # A property of the spec recurs on every attempt: the task fails
+        # on its first one, with no retry and no backoff sleep, while
+        # its sibling completes.
+        pytest.importorskip("numpy")
+        sleeps = []
+        metrics = MetricsRegistry()
+        event_only = replace(_spec(seed=2, reducer="validation.burst"),
+                             backend="vectorized")
+        result = run_campaign(
+            [("ok", _spec(seed=1)), ("event-only", event_only)],
+            retries=2, metrics=metrics, sleep=sleeps.append)
+        assert not isinstance(result.results[0], TaskError)
+        error = result.results[1]
+        assert isinstance(error, TaskError)
+        assert error.error_type == "UnsupportedSpecError"
+        assert "validation.burst" in error.message
+        assert sleeps == []
+        assert result.retried == 0
+        counters = metrics.snapshot()["counters"]
+        assert "campaign.retries" not in counters
+        assert counters["campaign.task_errors"] == 1
         assert counters["campaign.failed"] == 1
 
     def test_backoff_is_capped(self):

@@ -5,8 +5,6 @@ import pytest
 from repro.core.config import uniform_config
 from repro.core.service import DiagnosedCluster, MembershipCluster
 from repro.faults.scenarios import SenderFault, crash
-from repro.sim.engine import Engine
-from repro.sim.events import EventPriority
 
 
 def permissive():
@@ -59,18 +57,6 @@ class TestMixedDriving:
         dc = DiagnosedCluster(permissive(), seed=0)
         dc.run_rounds(0)
         assert dc.cluster.now == pytest.approx(0.0, abs=1e-6)
-
-
-class TestEngineExtras:
-    def test_schedule_after_relative(self):
-        engine = Engine()
-        seen = []
-        engine.schedule(1.0, EventPriority.JOB,
-                        lambda: engine.schedule_after(
-                            0.5, EventPriority.JOB,
-                            lambda: seen.append(engine.now)))
-        engine.run()
-        assert seen == [1.5]
 
 
 class TestServiceGuards:

@@ -34,7 +34,7 @@ from repro.spec import (
     registered_reducers,
 )
 from repro.store import ResultStore, decode_value, encode_value, store_key
-from repro.vec import NUMPY_AVAILABLE
+from repro.vec import NUMPY_AVAILABLE, UnsupportedSpecError
 
 _PROTOCOL = ProtocolSpec(n_nodes=4, penalty_threshold=2, reward_threshold=5,
                          criticalities=(1, 1, 1, 1))
@@ -59,19 +59,33 @@ SMALL_SPECS = {
 VECTORIZED = ("summary", "isolation")
 
 
+def _assert_json_value(result, backend):
+    enc, payload = encode_value(result)
+    assert enc in ("json", "json+zlib")
+    assert decode_value(enc, payload) == result, backend
+
+
 @pytest.mark.parametrize("name", sorted(registered_reducers()))
 def test_registered_reducer_returns_a_json_value(name):
     assert name in SMALL_SPECS, f"add a small spec for reducer {name!r}"
     spec = SMALL_SPECS[name]
     assert (spec.reducer or "summary") == name
-    backends = ["event"]
-    if name in VECTORIZED and NUMPY_AVAILABLE:
-        backends.append("vectorized")
-    for backend in backends:
-        result = execute(replace(spec, backend=backend))
-        enc, payload = encode_value(result)
-        assert enc in ("json", "json+zlib")
-        assert decode_value(enc, payload) == result, backend
+    _assert_json_value(execute(spec), "event")
+
+
+@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="needs numpy")
+@pytest.mark.parametrize("name", sorted(registered_reducers()))
+def test_vectorized_backend_runs_or_refuses_each_reducer(name):
+    """On the vectorized backend a reducer either returns a JSON value
+    or is refused with UnsupportedSpecError before the kernel runs."""
+    reducer = registered_reducers()[name]
+    assert bool(getattr(reducer, "vectorized", False)) == (name in VECTORIZED)
+    spec = replace(SMALL_SPECS[name], backend="vectorized")
+    if name in VECTORIZED:
+        _assert_json_value(execute(spec), "vectorized")
+        return
+    with pytest.raises(UnsupportedSpecError, match=repr(name)):
+        execute(spec)
 
 
 class TupleReducer:

@@ -45,6 +45,18 @@ def _spec(seed=0, n_rounds=8):
     )
 
 
+def _with(**fields):
+    """``_spec()``'s dict with some fields set; a dict value updates
+    that section (``_with(cluster={"trace_level": "x"})``)."""
+    data = _spec().to_dict()
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            data[name] = dict(data[name], **value)
+        else:
+            data[name] = value
+    return data
+
+
 def _manager(tmp_path, **kwargs):
     kwargs.setdefault("store_root", str(tmp_path / "store"))
     return JobManager(**kwargs)
@@ -138,6 +150,18 @@ class TestParseJobRequest:
          "params must be an object"),
         (dict(_spec().to_dict(), variant={"fast_path": False}),
          "variant.fast_path"),
+        # Fields of the wrong type or range, refused at parse instead
+        # of failing (or silently misreading) in the job.
+        (_with(protocol={"n_nodes": 4.0}), r"n_nodes must be an integer"),
+        (_with(cluster={"trace_level": "x"}),
+         "trace_level must be an integer"),
+        (_with(schedule={"kind": "static", "exec_after": 9}),
+         r"exec_after positions must be in 0\.\.4"),
+        (_with(reducer=5), "reducer must be a string"),
+        (_with(n_rounds=2.5), "n_rounds must be an integer"),
+        (_with(n_rounds=True), "n_rounds must be an integer"),
+        (_with(variant={"byzantine_nodes": [99]}),
+         r"byzantine_nodes must be node ids in 1\.\.4"),
     ])
     def test_bad_requests_are_client_errors(self, body, needle):
         with pytest.raises(BadRequestError, match=needle):
@@ -163,6 +187,20 @@ class TestParseJobRequest:
          '"reward_threshold": 5, "criticalities": [1, 1, 1, 1]}, '
          '"variant": {"bitset": true}, "spec": "repro-runspec/2"}',
          "spec #0: variant.bitset"),
+        (json.dumps(_with(protocol={"n_nodes": 4.0})),
+         "spec #0: protocol.n_nodes must be an integer, got 4.0"),
+        (json.dumps(_with(cluster={"trace_level": "x"})),
+         "spec #0: cluster.trace_level must be an integer, got 'x'"),
+        (json.dumps(_with(schedule={"kind": "static", "exec_after": 9})),
+         "spec #0: schedule.exec_after positions must be in 0..4"),
+        (json.dumps(_with(reducer=5)),
+         "spec #0: RunSpec.reducer must be a string, got 5"),
+        (json.dumps(_with(n_rounds=2.5)),
+         "spec #0: RunSpec.n_rounds must be an integer, got 2.5"),
+        (json.dumps(_with(n_rounds=True)),
+         "spec #0: RunSpec.n_rounds must be an integer, got True"),
+        (json.dumps(_with(variant={"byzantine_nodes": [99]})),
+         "spec #0: variant.byzantine_nodes must be node ids in 1..4"),
     ])
     def test_malformed_spec_files_are_client_errors(self, tmp_path, capsys,
                                                     text, needle):

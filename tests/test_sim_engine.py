@@ -1,147 +1,173 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the time-triggered round driver."""
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError, event_order
 from repro.sim.events import EventPriority
+
+PERIOD = 1.0
+
+
+def start_logging(engine, log, events_by_round):
+    """Give ``engine`` a plan whose events append ``(round, label, now)``.
+
+    ``events_by_round`` maps a round to its ``(offset, label)`` events
+    in execution order; other rounds are empty.
+    """
+    def action(label):
+        return lambda k: log.append((k, label, engine.now))
+
+    def round_events(k):
+        events = events_by_round.get(k, ())
+        return ([k * PERIOD + offset for offset, _label in events],
+                [action(label) for _offset, label in events])
+
+    engine.start(PERIOD, round_events)
 
 
 def test_runs_events_in_time_order():
-    engine = Engine()
+    # A plan lists its events in any order; event_order sorts them.
     log = []
-    engine.schedule(2.0, EventPriority.JOB, lambda: log.append("c"))
-    engine.schedule(1.0, EventPriority.JOB, lambda: log.append("a"))
-    engine.schedule(1.5, EventPriority.JOB, lambda: log.append("b"))
-    engine.run()
-    assert log == ["a", "b", "c"]
+    engine = Engine()
+    offsets, labels = [0.5, 0.1, 0.25], ["c", "a", "b"]
+    order = event_order(offsets, [EventPriority.JOB] * 3)
+    assert order == [1, 2, 0]
+    start_logging(engine, log, {0: [(offsets[i], labels[i]) for i in order]})
+    engine.run(until=1.0)
+    assert [label for _k, label, _t in log] == ["a", "b", "c"]
 
 
 def test_priority_breaks_ties_at_same_time():
-    engine = Engine()
-    log = []
-    engine.schedule(1.0, EventPriority.JOB, lambda: log.append("job"))
-    engine.schedule(1.0, EventPriority.SLOT_TRANSMIT, lambda: log.append("tx"))
-    engine.schedule(1.0, EventPriority.SLOT_DELIVER, lambda: log.append("rx"))
-    engine.schedule(1.0, EventPriority.INJECTOR, lambda: log.append("inj"))
-    engine.run()
-    assert log == ["inj", "tx", "rx", "job"]
+    priorities = [EventPriority.JOB, EventPriority.SLOT_TRANSMIT,
+                  EventPriority.SLOT_DELIVER]
+    order = event_order([1.0] * 3, priorities)
+    assert [priorities[i] for i in order] == [
+        EventPriority.SLOT_TRANSMIT, EventPriority.SLOT_DELIVER,
+        EventPriority.JOB]
 
 
 def test_insertion_order_breaks_full_ties():
-    engine = Engine()
-    log = []
-    for i in range(10):
-        engine.schedule(1.0, EventPriority.JOB, lambda i=i: log.append(i))
-    engine.run()
-    assert log == list(range(10))
-
-
-def test_now_advances_to_event_times():
-    engine = Engine()
-    seen = []
-    engine.schedule(0.5, EventPriority.JOB, lambda: seen.append(engine.now))
-    engine.schedule(2.5, EventPriority.JOB, lambda: seen.append(engine.now))
-    engine.run()
-    assert seen == [0.5, 2.5]
-    assert engine.now == 2.5
-
-
-def test_until_is_inclusive_and_advances_clock():
-    engine = Engine()
-    log = []
-    engine.schedule(1.0, EventPriority.JOB, lambda: log.append(1))
-    engine.schedule(2.0, EventPriority.JOB, lambda: log.append(2))
-    engine.run(until=1.0)
-    assert log == [1]
-    assert engine.now == 1.0
-    engine.run(until=5.0)
-    assert log == [1, 2]
-    # The clock advances to the horizon even with an empty queue.
-    assert engine.now == 5.0
-
-
-def test_schedule_in_past_rejected():
-    engine = Engine()
-    engine.schedule(1.0, EventPriority.JOB, lambda: None)
-    engine.run()
-    with pytest.raises(SimulationError):
-        engine.schedule(0.5, EventPriority.JOB, lambda: None)
+    # Equal time and priority: the plan's rank (list order) decides.
+    assert event_order([1.0] * 10, [30] * 10) == list(range(10))
 
 
 def test_schedule_at_now_is_allowed():
-    engine = Engine()
+    # Events at the instant the clock already reads run, in order.
     log = []
-
-    def chain():
-        engine.schedule(engine.now, EventPriority.OBSERVER,
-                        lambda: log.append("later"))
-        log.append("first")
-
-    engine.schedule(1.0, EventPriority.JOB, chain)
-    engine.run()
-    assert log == ["first", "later"]
-
-
-def test_schedule_after_negative_delay_rejected():
     engine = Engine()
-    with pytest.raises(SimulationError):
-        engine.schedule_after(-1.0, EventPriority.JOB, lambda: None)
+    start_logging(engine, log, {0: [(0.5, "first"), (0.5, "later")]})
+    engine.run(until=0.5)
+    assert [label for _k, label, _t in log] == ["first", "later"]
+    assert engine.now == 0.5
 
 
-def test_cancelled_events_are_skipped():
-    engine = Engine()
+def test_runs_each_round_in_plan_order():
     log = []
-    event = engine.schedule(1.0, EventPriority.JOB, lambda: log.append("x"))
-    engine.schedule(2.0, EventPriority.JOB, lambda: log.append("y"))
-    event.cancel()
-    executed = engine.run()
-    assert log == ["y"]
-    assert executed == 1
-
-
-def test_stop_halts_run():
     engine = Engine()
+    start_logging(engine, log, {0: [(0.1, "a"), (0.5, "b")], 1: [(0.2, "c")]})
+    engine.run(until=2.0)
+    assert [(k, label) for k, label, _t in log] == [
+        (0, "a"), (0, "b"), (1, "c")]
+
+
+def test_now_advances_to_event_times():
     log = []
-    engine.schedule(1.0, EventPriority.JOB, lambda: (log.append(1), engine.stop()))
-    engine.schedule(2.0, EventPriority.JOB, lambda: log.append(2))
-    engine.run()
-    assert log == [1]
-    assert engine.pending_events == 1
-
-
-def test_max_events_bound():
     engine = Engine()
+    start_logging(engine, log, {0: [(0.5, "x")], 2: [(0.5, "y")]})
+    engine.run(until=2.75)
+    assert [t for _k, _label, t in log] == [0.5, 2.5]
+    assert engine.now == 2.75
+
+
+def test_until_is_inclusive_and_advances_clock():
     log = []
-    for i in range(5):
-        engine.schedule(float(i), EventPriority.JOB, lambda i=i: log.append(i))
-    executed = engine.run(max_events=3)
-    assert executed == 3
-    assert log == [0, 1, 2]
+    engine = Engine()
+    start_logging(engine, log, {0: [(0.25, 1), (0.5, 2)]})
+    engine.run(until=0.25)
+    assert [label for _k, label, _t in log] == [1]
+    assert engine.now == 0.25
+    engine.run(until=5.0)
+    assert [label for _k, label, _t in log] == [1, 2]
+    # The clock advances to the horizon even when no event is due.
+    assert engine.now == 5.0
+
+
+def test_resumes_at_the_cursor():
+    # Horizons on an event, between events and on a round start split
+    # the run; the events run once each, in the same order.
+    events = {k: [(0.0, (k, "a")), (0.3, (k, "b")), (0.6, (k, "c"))]
+              for k in range(3)}
+    straight, split = [], []
+    engine = Engine()
+    start_logging(engine, straight, events)
+    engine.run(until=2.9)
+    engine = Engine()
+    start_logging(engine, split, events)
+    for horizon in (0.3, 0.45, 1.0, 1.0, 1.6, 2.9):
+        engine.run(until=horizon)
+    assert split == straight
+    assert len(straight) == 9
+
+
+def test_horizon_in_the_past_runs_nothing():
+    log = []
+    engine = Engine()
+    start_logging(engine, log, {0: [(0.5, "x")]})
+    engine.run(until=0.75)
+    assert engine.run(until=0.1) == 0
+    assert engine.now == 0.75
+
+
+def test_round_starts_count_as_events():
+    engine = Engine()
+    start_logging(engine, [], {0: [(0.5, "x")], 1: [(0.5, "y")]})
+    # Round starts at 0.0, 1.0 and 2.0, plus two events.
+    assert engine.run(until=2.0) == 5
+    assert engine.executed_events == 5
 
 
 def test_executed_events_counter_accumulates():
     engine = Engine()
-    engine.schedule(1.0, EventPriority.JOB, lambda: None)
-    engine.run()
-    engine.schedule(2.0, EventPriority.JOB, lambda: None)
-    engine.run()
-    assert engine.executed_events == 2
+    start_logging(engine, [], {0: [(0.5, "x")], 1: [(0.5, "y")]})
+    engine.run(until=0.75)
+    engine.run(until=1.75)
+    assert engine.executed_events == 4
 
 
-def test_peek_time_skips_cancelled():
+def test_schedule_in_past_rejected():
+    # A plan whose events go back in time trips the clock check.
     engine = Engine()
-    e1 = engine.schedule(1.0, EventPriority.JOB, lambda: None)
-    engine.schedule(2.0, EventPriority.JOB, lambda: None)
-    e1.cancel()
-    assert engine.peek_time() == 2.0
+    engine.start(PERIOD, lambda k: ([k + 0.5, k + 0.25],
+                                    [lambda k: None, lambda k: None]))
+    with pytest.raises(SimulationError):
+        engine.run(until=1.0)
+
+
+def test_event_past_its_round_rejected():
+    engine = Engine()
+    engine.start(PERIOD, lambda k: ([k + 1.0], [lambda k: None]))
+    with pytest.raises(SimulationError):
+        engine.run(until=1.0)
+
+
+def test_run_needs_a_round_plan():
+    with pytest.raises(SimulationError):
+        Engine().run(until=1.0)
+
+
+def test_plan_installed_once():
+    engine = Engine()
+    engine.start(PERIOD, lambda k: ((), ()))
+    with pytest.raises(SimulationError):
+        engine.start(PERIOD, lambda k: ((), ()))
 
 
 def test_not_reentrant():
     engine = Engine()
 
-    def reenter():
-        engine.run()
+    def reenter(k):
+        engine.run(until=2.0)
 
-    engine.schedule(1.0, EventPriority.JOB, reenter)
+    engine.start(PERIOD, lambda k: ([k + 0.5], [reenter]))
     with pytest.raises(SimulationError):
-        engine.run()
+        engine.run(until=1.0)

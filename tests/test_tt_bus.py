@@ -25,11 +25,26 @@ def build_bus(n_nodes=4, n_channels=1):
     return engine, tb, injection, bus, controllers, trace
 
 
+def drive_slot(engine, bus, round_index, slot, frame):
+    """Drive one slot through the engine: the transmission at the slot
+    start, then the bus's delivery hand-off (:meth:`Bus.deliver`) at the
+    end of the transmission window."""
+    tb = bus.timebase
+
+    def round_events(k):
+        if k != round_index:
+            return (), ()
+        return ((tb.slot_start(k, slot), tb.delivery_time(k, slot)),
+                (lambda k: bus.transmit(k, slot, frame),
+                 lambda k: bus.deliver(k, slot)))
+
+    engine.start(tb.round_length, round_events)
+    engine.run(until=tb.delivery_time(round_index, slot))
+
+
 def run_slot(engine, bus, round_index, slot, payload="data"):
     frame = Frame(sender=slot, round_index=round_index, payload=payload)
-    engine.schedule(bus.timebase.slot_start(round_index, slot), 10,
-                    lambda: bus.transmit(round_index, slot, frame))
-    engine.run()
+    drive_slot(engine, bus, round_index, slot, frame)
 
 
 def test_clean_transmission_reaches_everyone():
@@ -48,9 +63,7 @@ def test_sender_receives_own_frame_as_collision_check():
 
 def test_silent_sender_invalid_everywhere():
     engine, tb, injection, bus, ctrls, trace = build_bus()
-    engine.schedule(tb.slot_start(0, 3), 10,
-                    lambda: bus.transmit(0, 3, None))
-    engine.run()
+    drive_slot(engine, bus, 0, 3, None)
     for ctrl in ctrls.values():
         assert ctrl.read_validity()[3] == 0
     assert ctrls[3].collision_ok(0) is False
