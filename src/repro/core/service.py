@@ -17,6 +17,13 @@ This is the main entry point of the library::
                                       round_index=5, slot=2, n_slots=1))
     dc.run_rounds(12)
     assert dc.consistent_health_history()  # all nodes agreed
+    dc.close()
+
+Each facade is also a context manager that closes its run on exit
+(``with DiagnosedCluster(config) as dc: ...``).  :meth:`close` ends the
+run (:meth:`~repro.tt.cluster.Cluster.close`): the trace and the
+services stay readable, and reference counting frees the run as soon
+as the facade is dropped.
 """
 
 from __future__ import annotations
@@ -33,7 +40,23 @@ from .membership import MembershipService
 from .reintegration import ReintegrationPolicy, attach_reintegration
 
 
-class DiagnosedCluster:
+class _ClusterRun:
+    """What every facade does with the run it owns: end it."""
+
+    cluster: Cluster
+
+    def close(self) -> None:
+        """End the run; ``run_rounds`` raises afterwards.  Idempotent."""
+        self.cluster.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class DiagnosedCluster(_ClusterRun):
     """A simulated TT cluster running the add-on diagnostic protocol.
 
     Every service analyses on the packed bitmask plane, with one
@@ -239,7 +262,7 @@ class MembershipCluster(DiagnosedCluster):
         return next(iter(views))
 
 
-class LowLatencyCluster:
+class LowLatencyCluster(_ClusterRun):
     """A cluster running the system-level low-latency variant (Sec. 10)."""
 
     def __init__(self, config: ProtocolConfig,

@@ -355,7 +355,9 @@ class AdaptiveSaboteur(SerializableScenario, Scenario):
         self.sender = sender
         self.margin = int(margin)
         self.cause = cause or f"saboteur-{sender}"
-        self._observer: Any = None
+        # The protocol view: the observed facade's config and services.
+        self._config: Any = None
+        self._services: Any = None
         self._decisions: Dict[int, bool] = {}
 
     def spec_params(self) -> Dict[str, Any]:
@@ -364,24 +366,30 @@ class AdaptiveSaboteur(SerializableScenario, Scenario):
                 "cause": self.cause}
 
     def bind_observer(self, target: Any) -> None:
-        """Attach the cluster facade whose penalty state drives decisions."""
-        self._observer = target
+        """Attach the cluster facade whose penalty state drives decisions.
+
+        Only the facade's ``config`` and ``services`` are kept: the
+        facade reaches this scenario through its injection layer, so
+        keeping the facade itself would make a reference cycle.
+        """
+        self._config = target.config
+        self._services = target.services
 
     def _attack_in(self, round_index: int) -> bool:
         if round_index in self._decisions:
             return self._decisions[round_index]
-        if self._observer is None:
+        if self._services is None:
             raise ValueError(
                 "AdaptiveSaboteur has no protocol view; call "
                 "bind_observer(cluster_facade) after attaching it (the "
                 "spec build path does this automatically)")
-        config = self._observer.config
+        config = self._config
         # Worst case over all observers: the consensus property keeps
         # the views equal in steady state, but during the pipeline lag
         # the most advanced view is the one that isolates first.
         penalty = max(
             service.pr.penalties[self.sender - 1]
-            for service in self._observer.services.values())
+            for service in self._services.values())
         headroom = (config.penalty_threshold
                     - config.criticality_of(self.sender) - self.margin)
         decision = penalty <= headroom

@@ -25,12 +25,19 @@ at a time through a *round plan*, with a cursor:
   their times from the round index times the period plus a fixed
   offset, never by accumulating increments, so time arithmetic stays
   exact for the simulation horizons used in the experiments.
+* **An explicit end.**  The plan's actions reach the objects the run
+  drives (for a cluster, the cluster itself), so an engine holding them
+  forms a reference cycle with its owner.  :meth:`Engine.close` drops
+  the plan and the loaded round; what the run built is then freed by
+  reference counting as soon as its owner lets go of it, not in a
+  later pass of the cyclic garbage collector.
 
 Typical use::
 
     engine = Engine()
     engine.start(1.0, lambda k: ([k + 0.5], [lambda k: print("round", k)]))
     engine.run(until=2.5)
+    engine.close()
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ class Engine:
     def __init__(self, metrics: Optional[Any] = None) -> None:
         self.now: float = 0.0
         self._running = False
+        self._closed = False
         self._executed_events = 0
         self._period = 0.0
         self._round_events: Optional[Callable[[int], RoundEvents]] = None
@@ -100,6 +108,8 @@ class Engine:
         (k + 1) * period)``; a later one raises :class:`SimulationError`
         when its round starts.
         """
+        if self._closed:
+            raise SimulationError("the engine is closed")
         if self._round_events is not None:
             raise SimulationError("the engine already has a round plan")
         if not period > 0:
@@ -131,7 +141,9 @@ class Engine:
             raise SimulationError("engine is not reentrant")
         round_events = self._round_events
         if round_events is None:
-            raise SimulationError("the engine has no round plan; call start()")
+            raise SimulationError(
+                "the engine is closed: its run has ended" if self._closed
+                else "the engine has no round plan; call start()")
         self._running = True
         executed = 0
         # The loop keeps the cursor and the clock in locals; ``self.now``
@@ -188,6 +200,18 @@ class Engine:
             if self._m_on:
                 self._m_events.inc(executed)
         return executed
+
+    def close(self) -> None:
+        """End the run: drop the round plan and the loaded round.
+
+        The clock and :attr:`executed_events` stay readable;
+        :meth:`start` and :meth:`run` raise :class:`SimulationError`
+        afterwards.  Idempotent.
+        """
+        self._closed = True
+        self._round_events = None
+        self._times = self._actions = ()
+        self._cursor = 0
 
     # ------------------------------------------------------------------
     # Introspection

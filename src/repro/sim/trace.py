@@ -65,6 +65,21 @@ _DECISION_CATEGORIES = frozenset(
     {"isolation", "view", "clique", "reintegration", "fault"})
 
 
+def _decisions_only(append: Callable[[TraceRecord], None]
+                    ) -> Callable[..., Optional[TraceRecord]]:
+    """A level-0 :meth:`Trace.record` that appends through ``append``."""
+
+    def record(time: float, category: str, node: Optional[int] = None,
+               **data: Any) -> Optional[TraceRecord]:
+        if category not in _DECISION_CATEGORIES:
+            return None
+        rec = _new_record(TraceRecord, (time, category, node, data))
+        append(rec)
+        return rec
+
+    return record
+
+
 class Trace:
     """Append-only, queryable event log.
 
@@ -90,8 +105,11 @@ class Trace:
         self.level = level
         if level <= 0:
             # Instance-level override: hot-path callers pay one dict
-            # lookup instead of a per-call level test.
-            self.record = self._record_decisions  # type: ignore[assignment]
+            # lookup instead of a per-call level test.  The override
+            # holds the record list, not the trace, so the trace is no
+            # reference cycle.
+            self.record = _decisions_only(  # type: ignore[assignment]
+                self._records.append)
 
     # -- recording ------------------------------------------------------
     def record(
@@ -108,19 +126,6 @@ class Trace:
         keyword dict, fresh on every call, so the record keeps it
         without a copy.
         """
-        rec = _new_record(TraceRecord, (time, category, node, data))
-        self._records.append(rec)
-        return rec
-
-    def _record_decisions(
-        self,
-        time: float,
-        category: str,
-        node: Optional[int] = None,
-        **data: Any,
-    ) -> Optional[TraceRecord]:
-        if category not in _DECISION_CATEGORIES:
-            return None
         rec = _new_record(TraceRecord, (time, category, node, data))
         self._records.append(rec)
         return rec

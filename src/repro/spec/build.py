@@ -8,11 +8,13 @@
 bursts resolve their windows at attach, stochastic scenarios draw from
 the cluster's named streams).
 
-:func:`execute` drives the built cluster for ``spec.n_rounds`` and
-applies a reducer (the spec's named one by default).  When a metrics
-registry is supplied, the run additionally increments the provenance
-counter ``spec.run.<digest>``, so merged observability reports say
-exactly which serialized runs produced them.
+:func:`execute` drives the built cluster for ``spec.n_rounds``,
+applies a reducer (the spec's named one by default) and closes the run
+(:meth:`~repro.tt.cluster.Cluster.close`), so everything the run built
+is freed as soon as the result is reduced.  When a metrics registry is
+supplied, the run additionally increments the provenance counter
+``spec.run.<digest>``, so merged observability reports say exactly
+which serialized runs produced them.
 
 :func:`run_spec_dict` is the generic, picklable worker the parallel
 runner fans out: specs travel between processes as the plain dicts
@@ -43,7 +45,8 @@ def build(spec: RunSpec, metrics: Optional[Any] = None) -> AnyCluster:
 
     The returned object is the same facade the hand-wired path would
     produce, with all scenarios attached; callers drive it with
-    ``run_rounds`` and query it exactly as before.
+    ``run_rounds``, query it exactly as before, and end it with
+    ``close()`` (or use it as a context manager).
     """
     config = spec.protocol.to_config()
     c, s, v = spec.cluster, spec.schedule, spec.variant
@@ -83,6 +86,7 @@ def execute(spec: RunSpec, reducer: Union[None, str, Any] = None,
     the default summary reducer applies.  The reducer's optional
     ``prepare`` hook runs between assembly and driving, so it can
     install probes whose observations ``reduce`` scores afterwards.
+    The run is closed after ``reduce``, also when ``reduce`` raises.
 
     ``spec.backend`` picks the execution engine: ``"event"`` (default)
     drives the discrete-event cluster below; ``"vectorized"`` dispatches
@@ -95,13 +99,13 @@ def execute(spec: RunSpec, reducer: Union[None, str, Any] = None,
         return execute_vectorized(spec, reducer=reducer, metrics=metrics)
     resolved = resolve_reducer(reducer if reducer is not None
                                else spec.reducer)
-    target = build(spec, metrics=metrics)
-    prepare = getattr(resolved, "prepare", None)
-    state = prepare(target, spec) if prepare is not None else None
-    target.run_rounds(spec.n_rounds)
-    if metrics is not None and metrics.enabled:
-        metrics.counter(PROVENANCE_PREFIX + spec.digest()).inc()
-    return resolved.reduce(target, spec, state)
+    with build(spec, metrics=metrics) as target:
+        prepare = getattr(resolved, "prepare", None)
+        state = prepare(target, spec) if prepare is not None else None
+        target.run_rounds(spec.n_rounds)
+        if metrics is not None and metrics.enabled:
+            metrics.counter(PROVENANCE_PREFIX + spec.digest()).inc()
+        return resolved.reduce(target, spec, state)
 
 
 def run_spec_dict(spec_dict: dict, collect_metrics: bool = False):

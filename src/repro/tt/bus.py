@@ -83,6 +83,12 @@ class Bus:
             self.transmit_latched = (  # type: ignore[assignment]
                 self._transmit_latched_timed)
 
+    def close(self) -> None:
+        """Drop a timed bus's wrappers: bound to the bus and kept on it,
+        they would make the bus a reference cycle."""
+        vars(self).pop("transmit", None)
+        vars(self).pop("transmit_latched", None)
+
     def attach(self, node_id: int, controller: Any) -> None:
         """Register a controller to receive every slot's delivery."""
         self._receivers[node_id] = controller

@@ -157,6 +157,10 @@ class CommunicationController:
         """
         self._delivery_listeners.append(listener)
 
+    def remove_delivery_listeners(self) -> None:
+        """Unregister every delivery callback (the run has ended)."""
+        self._delivery_listeners.clear()
+
     # ------------------------------------------------------------------
     # Application-visible reads (the add-on protocol's only inputs)
     # ------------------------------------------------------------------

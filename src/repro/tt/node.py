@@ -17,17 +17,17 @@ round number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Protocol
+from typing import List, Optional, Protocol
 
 from ..faults.model import NodeGroundTruth
 from .controller import CommunicationController
 from .schedule import NodeSchedule, ScheduleParams
 
 
-@dataclass
 class JobContext:
     """Execution context handed to a job once per round.
+
+    A slotted record: one is built per node and round.
 
     Attributes
     ----------
@@ -45,11 +45,15 @@ class JobContext:
         Simulation time of the execution.
     """
 
-    node: "Node"
-    round_index: int
-    physical_round: int
-    params: ScheduleParams
-    time: float
+    __slots__ = ("node", "round_index", "physical_round", "params", "time")
+
+    def __init__(self, node: "Node", round_index: int, physical_round: int,
+                 params: ScheduleParams, time: float) -> None:
+        self.node = node
+        self.round_index = round_index
+        self.physical_round = physical_round
+        self.params = params
+        self.time = time
 
     @property
     def controller(self) -> CommunicationController:
@@ -75,20 +79,29 @@ class Node:
         self.jobs: List[Job] = []
         self.ground_truth = NodeGroundTruth(node_id=node_id)
 
+    @property
+    def schedule(self) -> NodeSchedule:
+        """The node's schedule (where its jobs run in each round)."""
+        return self._schedule
+
+    @schedule.setter
+    def schedule(self, schedule: NodeSchedule) -> None:
+        self._schedule = schedule
+        # A static schedule's parameters never change: resolve them once.
+        self._static_params: Optional[ScheduleParams] = (
+            schedule.params(0) if schedule.is_static else None)
+
     def add_job(self, job: Job) -> None:
         """Install a job; jobs run in installation order each round."""
         self.jobs.append(job)
 
     def execute_jobs(self, physical_round: int, time: float) -> None:
         """Run all jobs for the given round (called by the cluster driver)."""
-        params = self.schedule.params(physical_round)
-        ctx = JobContext(
-            node=self,
-            round_index=params.effective_round(physical_round),
-            physical_round=physical_round,
-            params=params,
-            time=time,
-        )
+        params = self._static_params
+        if params is None:
+            params = self._schedule.params(physical_round)
+        ctx = JobContext(self, physical_round + params.round_shift,
+                         physical_round, params, time)
         for job in self.jobs:
             job.execute(ctx)
 
