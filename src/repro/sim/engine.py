@@ -211,7 +211,6 @@ class Engine:
         self._closed = True
         self._round_events = None
         self._times = self._actions = ()
-        self._cursor = 0
 
     # ------------------------------------------------------------------
     # Introspection

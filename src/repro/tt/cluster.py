@@ -206,7 +206,6 @@ class Cluster:
         """End the run (see the module docstring).  Idempotent."""
         self.engine.close()
         self.bus.close()
-        self._actions = self._static_actions = ()
         for node in self.nodes.values():
             node.jobs.clear()
             node.controller.remove_delivery_listeners()

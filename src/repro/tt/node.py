@@ -17,7 +17,7 @@ round number.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol
+from typing import List, Protocol
 
 from ..faults.model import NodeGroundTruth
 from .controller import CommunicationController
@@ -79,27 +79,13 @@ class Node:
         self.jobs: List[Job] = []
         self.ground_truth = NodeGroundTruth(node_id=node_id)
 
-    @property
-    def schedule(self) -> NodeSchedule:
-        """The node's schedule (where its jobs run in each round)."""
-        return self._schedule
-
-    @schedule.setter
-    def schedule(self, schedule: NodeSchedule) -> None:
-        self._schedule = schedule
-        # A static schedule's parameters never change: resolve them once.
-        self._static_params: Optional[ScheduleParams] = (
-            schedule.params(0) if schedule.is_static else None)
-
     def add_job(self, job: Job) -> None:
         """Install a job; jobs run in installation order each round."""
         self.jobs.append(job)
 
     def execute_jobs(self, physical_round: int, time: float) -> None:
         """Run all jobs for the given round (called by the cluster driver)."""
-        params = self._static_params
-        if params is None:
-            params = self._schedule.params(physical_round)
+        params = self.schedule.params(physical_round)
         ctx = JobContext(self, physical_round + params.round_shift,
                          physical_round, params, time)
         for job in self.jobs:
